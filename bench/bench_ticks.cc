@@ -32,18 +32,14 @@ struct Result
 };
 
 Result
-measure(const std::string &scenario, Cycle warmup, Cycle cycles,
+measure(const system::Scenario &scenario, Cycle warmup, Cycle cycles,
         int threads, bool elide)
 {
     noc::resetPacketIds();
     system::SystemConfig cfg;
     cfg.meshWidth = 4;
     cfg.meshHeight = 4;
-    cfg.scenario = scenario == "MRAM-64TSB"
-                       ? system::scenarios::sttram64Tsb()
-                       : scenario == "MRAM-4TSB"
-                             ? system::scenarios::sttram4Tsb()
-                             : system::scenarios::sttram4TsbWb();
+    cfg.scenario = scenario;
     cfg.apps = {"tpcc"};
     cfg.seed = 1;
     cfg.threads = threads;
@@ -64,7 +60,7 @@ int
 main(int argc, char **argv)
 {
     Cycle cycles = 20000, warmup = 2000;
-    std::string scenario = "MRAM-4TSB-WB";
+    system::Scenario scenario = system::scenarios::sttram4TsbWb();
     int threads = 1;
     bool check = false;
     double tolerance = 0.05;
@@ -82,7 +78,13 @@ main(int argc, char **argv)
             warmup = std::strtoull(need(i), nullptr, 10);
             ++i;
         } else if (arg == "--scenario") {
-            scenario = need(i);
+            if (!system::scenarios::byName(need(i), scenario)) {
+                std::fprintf(stderr,
+                             "bench_ticks: unknown scenario '%s' "
+                             "(known: %s)\n",
+                             need(i), system::scenarios::knownNames());
+                return 2;
+            }
             ++i;
         } else if (arg == "--threads") {
             threads = std::atoi(need(i));
@@ -108,7 +110,7 @@ main(int argc, char **argv)
     const double speedup =
         off.ticksPerSec > 0.0 ? on.ticksPerSec / off.ticksPerSec : 0.0;
     std::printf("bench_ticks scenario=%s threads=%d cycles=%llu\n",
-                scenario.c_str(), threads,
+                scenario.name.c_str(), threads,
                 static_cast<unsigned long long>(cycles));
     std::printf("  no-elide: %.0f ticks/s (wall %.3fs)\n",
                 off.ticksPerSec, off.wallSeconds);

@@ -3,11 +3,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 
 #include "server/client.hh"
 #include "server/protocol.hh"
-#include "snapshot/checkpoint.hh"
+#include "system/run_spec.hh"
 #include "system/stats_export.hh"
 
 namespace stacknoc::bench {
@@ -62,23 +61,18 @@ runOneViaServer(const system::Scenario &scenario,
                 const std::vector<std::string> &apps, const BenchEnv &e,
                 RunResult &r)
 {
-    server::JobRequest req;
-    req.scenario = scenario.name;
-    req.apps = apps;
-    req.seed = e.seed;
-    req.warmup = e.warmup;
-    req.cycles = e.measure;
+    system::RunSpec spec;
+    spec.scenario = scenario.name;
+    spec.apps = apps;
+    spec.seed = e.seed;
+    spec.warmup = e.warmup;
+    spec.cycles = e.measure;
 
-    // The server resolves scenarios by name; a harness that customised
-    // scenario fields beyond the named design point cannot go over the
-    // wire. Compare canonical warm specs to detect that exactly.
-    system::SystemConfig want;
-    if (!server::buildConfig(req, want).empty())
-        return false;
-    system::SystemConfig have = want;
-    have.scenario = scenario;
-    if (snapshot::canonicalWarmSpec(have, e.warmup) !=
-        snapshot::canonicalWarmSpec(want, e.warmup))
+    // The server rebuilds scenarios by name; a harness that customised
+    // the named design point must simulate in-process.
+    system::Scenario named;
+    if (!system::scenarios::byName(scenario.name, named) ||
+        named != scenario)
         return false;
 
     server::Connection conn;
@@ -87,17 +81,7 @@ runOneViaServer(const system::Scenario &scenario,
         std::fprintf(stderr, "bench: %s\n", err.c_str());
         return false;
     }
-    std::string cmd;
-    {
-        std::ostringstream os;
-        telemetry::JsonWriter w(os);
-        w.beginObject();
-        w.kv("cmd", "run");
-        server::writeJobRequestMembers(w, req);
-        w.endObject();
-        cmd = os.str();
-    }
-    if (!conn.sendLine(cmd, err))
+    if (!conn.sendLine(server::runCommand(spec), err))
         return false;
 
     std::string line;

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "system/run_spec.hh"
 #include "workload/app_profiles.hh"
 
 using namespace stacknoc;
@@ -54,10 +55,7 @@ main()
     std::vector<std::string> all;
     for (const auto &a : workload::appTable())
         all.push_back(a.name);
-    std::vector<std::string> avg42;
-    for (int c = 0; c < 64; ++c)
-        avg42.push_back(all[static_cast<std::size_t>(c) % all.size()]);
-    run_row("AVG-42", avg42);
+    run_row("AVG-42", system::expandApps(all, 64));
 
     for (const char *app : {"tpcc", "sjas", "streamcluster", "lbm"})
         run_row(app, {app});

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "system/run_spec.hh"
 #include "workload/app_profiles.hh"
 
 using namespace stacknoc;
@@ -65,14 +66,9 @@ main()
     // suite by assigning one suite app per core round-robin.
     for (const auto suite : {workload::Suite::Parsec,
                              workload::Suite::Spec,
-                             workload::Suite::Server}) {
-        auto suite_apps = workload::appsOfSuite(suite);
-        std::vector<std::string> per_core;
-        for (int c = 0; c < 64; ++c)
-            per_core.push_back(suite_apps[static_cast<std::size_t>(c) %
-                                          suite_apps.size()]);
-        runApp(workload::suiteName(suite), per_core, e);
-    }
+                             workload::Suite::Server})
+        runApp(workload::suiteName(suite),
+               system::expandApps(workload::appsOfSuite(suite), 64), e);
     std::printf("\n#Req: mean request packets in an occupied cache-layer "
                 "router destined exactly 2 hops away.\n<=33: accesses "
                 "arriving within the 33-cycle write service (the "

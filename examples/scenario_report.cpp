@@ -5,9 +5,7 @@
  * coherence traffic, energy, and the STT-RAM-aware policy counters.
  *
  * Usage: scenario_report [scenario] [app] [cycles]
- *   scenario: SRAM-64TSB | MRAM-64TSB | MRAM-4TSB | MRAM-4TSB-SS |
- *             MRAM-4TSB-RCA | MRAM-4TSB-WB | BUFF-20 | +1VC |
- *             MRAM-RP | MRAM-4TSB-WB+RP
+ *   scenario: any system::scenarios::byName name (default MRAM-4TSB-WB)
  *   app:      any Table 3 application name (default tpcc)
  *   cycles:   measured cycles (default 20000)
  */
@@ -22,33 +20,6 @@
 using namespace stacknoc;
 
 namespace {
-
-system::Scenario
-scenarioByName(const std::string &name)
-{
-    using namespace system::scenarios;
-    if (name == "SRAM-64TSB")
-        return sram64Tsb();
-    if (name == "MRAM-64TSB")
-        return sttram64Tsb();
-    if (name == "MRAM-4TSB")
-        return sttram4Tsb();
-    if (name == "MRAM-4TSB-SS")
-        return sttram4TsbSS();
-    if (name == "MRAM-4TSB-RCA")
-        return sttram4TsbRca();
-    if (name == "MRAM-4TSB-WB")
-        return sttram4TsbWb();
-    if (name == "BUFF-20")
-        return sttramBuff20();
-    if (name == "+1VC")
-        return sttram4TsbWbPlus1Vc();
-    if (name == "MRAM-RP")
-        return sttramReadPriority();
-    if (name == "MRAM-4TSB-WB+RP")
-        return sttram4TsbWbReadPriority();
-    fatal("unknown scenario '%s'", name.c_str());
-}
 
 double
 counterOf(const stats::Group &g, const char *name)
@@ -70,7 +41,9 @@ main(int argc, char **argv)
         : 20000;
 
     system::SystemConfig cfg;
-    cfg.scenario = scenarioByName(scenario_name);
+    fatal_if(!system::scenarios::byName(scenario_name, cfg.scenario),
+             "unknown scenario '%s' (known: %s)", scenario_name.c_str(),
+             system::scenarios::knownNames());
     cfg.apps = {app};
 
     std::printf("scenario=%s app=%s (64 copies/threads), %llu cycles\n",

@@ -5,7 +5,7 @@
  *
  * Client -> server commands (one object per line):
  *
- *     {"cmd":"run", <JobRequest members>}
+ *     {"cmd":"run", <RunSpec members>}
  *     {"cmd":"status"}
  *     {"cmd":"shutdown"}
  *
@@ -19,7 +19,7 @@
  *     {"event":"status", ...}    {"event":"bye"}
  *
  * The result cache is keyed by cacheKeyDigest(): an FNV-1a over the
- * canonical request rendering (see cacheKeyString) — the full warm
+ * canonical request rendering (see cacheKeyDigest) — the full warm
  * configuration plus measured cycles, interval period, engine knobs
  * and the protocol schema version. Identical requests are served from
  * cache without re-simulation; the determinism contract guarantees the
@@ -31,10 +31,8 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "common/types.hh"
-#include "system/cmp_system.hh"
+#include "system/run_spec.hh"
 #include "telemetry/json.hh"
 
 namespace stacknoc::server {
@@ -43,48 +41,13 @@ namespace stacknoc::server {
  *  incompatibly; part of the cache key, so stale entries self-expire. */
 constexpr int kProtocolVersion = 1;
 
-/** One scenario-run request (the "run" command's payload). */
-struct JobRequest
-{
-    std::string scenario = "MRAM-4TSB-WB";
-    int regions = -1; //!< -1 keeps the scenario's default
-    std::vector<std::string> apps{"tpcc"};
-    std::uint64_t seed = 1;
-    Cycle warmup = 3000;
-    Cycle cycles = 20000;
-    int meshWidth = 8;
-    int meshHeight = 8;
-    int threads = 1;
-    bool elide = true;
-    Cycle interval = 0; //!< interval-event period; 0 streams nothing
-    std::string faultSpec; //!< --fault-spec grammar; empty = clean
-    bool realTags = false;
-};
+/** The result-cache key: FNV-1a over the canonical rendering of the
+ *  resolved spec (docs/SERVER.md) — the warm spec, then cycles,
+ *  interval, threads, elide and the protocol version. */
+std::uint64_t cacheKeyDigest(const system::RunSpec &spec);
 
-/**
- * Fill @p out from the members of @p v (unknown members are ignored,
- * "cmd"/"id" included). @return empty string on success, else a
- * one-line reason.
- */
-std::string parseJobRequest(const telemetry::JsonValue &v,
-                            JobRequest &out);
-
-/** Emit @p req's members into an already-open JSON object. */
-void writeJobRequestMembers(telemetry::JsonWriter &w,
-                            const JobRequest &req);
-
-/**
- * Resolve @p req into a full SystemConfig (scenario lookup, app
- * round-robin expansion, fault-spec parse). @return empty string on
- * success, else a one-line reason.
- */
-std::string buildConfig(const JobRequest &req, system::SystemConfig &cfg);
-
-/** The canonical cache-key rendering (documented in docs/SERVER.md). */
-std::string cacheKeyString(const JobRequest &req);
-
-/** FNV-1a digest of cacheKeyString — the result-cache key. */
-std::uint64_t cacheKeyDigest(const JobRequest &req);
+/** The {"cmd":"run", <spec members>} command line for @p spec. */
+std::string runCommand(const system::RunSpec &spec);
 
 /** Render any parsed JsonValue back to compact JSON. */
 void writeJsonValue(telemetry::JsonWriter &w,

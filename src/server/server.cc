@@ -585,7 +585,7 @@ CampaignServer::workerLineFor(const Job &job) const
     w.kv("attempt", job.attempt);
     if (job.forceCold)
         w.kv("cold", true);
-    writeJobRequestMembers(w, job.req);
+    job.spec.writeJson(w);
     w.endObject();
     return os.str();
 }
@@ -883,37 +883,39 @@ void
 CampaignServer::submitRun(const JsonValue &doc, Transport transport,
                           int clientFd)
 {
-    const auto reject = [&](const std::string &reason) {
-        metrics_.counter(kJobsRejected, helpOf(kJobsRejected)).inc();
+    // Every refusal is one id-0 error event (HTTP: @p status), with an
+    // optional marker member and retry hint.
+    const auto refuse = [&](int status, const std::string &reason,
+                            const char *marker = nullptr,
+                            std::uint64_t retryMs = 0) {
         const std::string ev = eventLine([&](JsonWriter &w) {
             w.kv("event", "error");
             w.kv("id", std::uint64_t{0});
             w.kv("reason", reason);
+            if (marker != nullptr)
+                w.kv(marker, true);
+            if (retryMs > 0)
+                w.kv("retry_after_ms", retryMs);
         });
         if (transport == Transport::Http)
-            finishHttpJob(clientFd, 400, ev);
+            finishHttpJob(clientFd, status, ev);
         else
             sendToClient(clientFd, ev);
     };
 
-    JobRequest req;
-    if (const std::string err = parseJobRequest(doc, req);
-        !err.empty()) {
-        reject(err);
+    system::RunSpec spec;
+    std::string err = spec.readJson(doc);
+    // Resolve now so bad requests fail at submission, not in a worker.
+    system::SystemConfig cfg;
+    if (err.empty())
+        err = spec.resolve(cfg);
+    if (!err.empty()) {
+        metrics_.counter(kJobsRejected, helpOf(kJobsRejected)).inc();
+        refuse(400, err);
         return;
     }
-    // Resolve the config now so bad requests fail at submission, not
-    // in a worker.
-    {
-        system::SystemConfig cfg;
-        if (const std::string err = buildConfig(req, cfg);
-            !err.empty()) {
-            reject(err);
-            return;
-        }
-    }
 
-    const std::uint64_t key = cacheKeyDigest(req);
+    const std::uint64_t key = cacheKeyDigest(spec);
     const auto cached = cache_.find(key);
     const bool hit = cached != cache_.end();
 
@@ -922,16 +924,7 @@ CampaignServer::submitRun(const JsonValue &doc, Transport transport,
     // is at its bound — with enough structure for the client to retry.
     if (!hit && draining_) {
         metrics_.counter(kJobsRejected, helpOf(kJobsRejected)).inc();
-        const std::string ev = eventLine([&](JsonWriter &w) {
-            w.kv("event", "error");
-            w.kv("id", std::uint64_t{0});
-            w.kv("reason", "server draining; not accepting new jobs");
-            w.kv("draining", true);
-        });
-        if (transport == Transport::Http)
-            finishHttpJob(clientFd, 503, ev);
-        else
-            sendToClient(clientFd, ev);
+        refuse(503, "server draining; not accepting new jobs", "draining");
         return;
     }
     if (!hit && opt_.maxQueue > 0 &&
@@ -951,19 +944,10 @@ CampaignServer::submitRun(const JsonValue &doc, Transport transport,
             jw.kv("queued", static_cast<std::uint64_t>(queue_.size()));
             jw.kv("retry_after_ms", retryMs);
         });
-        const std::string ev = eventLine([&](JsonWriter &w) {
-            w.kv("event", "error");
-            w.kv("id", std::uint64_t{0});
-            w.kv("reason", "queue full (" +
-                               std::to_string(queue_.size()) +
-                               " jobs waiting); retry later");
-            w.kv("shed", true);
-            w.kv("retry_after_ms", retryMs);
-        });
-        if (transport == Transport::Http)
-            finishHttpJob(clientFd, 503, ev);
-        else
-            sendToClient(clientFd, ev);
+        refuse(503,
+               "queue full (" + std::to_string(queue_.size()) +
+                   " jobs waiting); retry later",
+               "shed", retryMs);
         return;
     }
 
@@ -1011,7 +995,7 @@ CampaignServer::submitRun(const JsonValue &doc, Transport transport,
     job.transport = transport;
     job.clientFd = clientFd;
     job.key = key;
-    job.req = req;
+    job.spec = spec;
     job.submitUs = monoUs();
     queue_.push_back(std::move(job));
     dispatchJobs();

@@ -35,7 +35,7 @@
  * retry and worker health; an EventLog (--log-json) records every
  * job's lifecycle as NDJSON; and an optional HTTP front end (--http
  * PORT) serves GET /metrics (Prometheus text exposition), GET /status
- * (JSON) and POST /run (JobRequest JSON) to off-host clients beside
+ * (JSON) and POST /run (RunSpec JSON) to off-host clients beside
  * the socket. All of it is observer-only with respect to simulation:
  * the workers' result payloads and stats digests are byte-identical
  * with every observability feature on or off.
@@ -148,7 +148,7 @@ class CampaignServer
         Transport transport = Transport::Unix;
         int clientFd = -1;
         std::uint64_t key = 0;
-        JobRequest req;
+        system::RunSpec spec;
         int attempt = 1;
         bool forceCold = false; //!< final attempt skips warm restore
         /** One failure reason per exhausted attempt. */

@@ -4,7 +4,7 @@
  *
  * A worker is a child process of stacknoc_serve (spawned with
  * `stacknoc_serve --worker --ckpt-dir D`). It reads one job object per
- * line on stdin — a JobRequest plus the server-assigned "id", the
+ * line on stdin — RunSpec members plus the server-assigned "id", the
  * attempt number, and an optional "cold" override — runs the
  * simulation, and emits NDJSON events on stdout:
  *

@@ -1,5 +1,7 @@
 #include "system/scenario.hh"
 
+#include <utility>
+
 namespace stacknoc::system::scenarios {
 
 Scenario
@@ -108,21 +110,30 @@ figureSix()
             sttram4TsbSS(), sttram4TsbRca(), sttram4TsbWb()};
 }
 
+namespace {
+
+/** Every named scenario, in usage order; each factory's .name is the
+ *  canonical name byName() accepts. */
+constexpr Scenario (*kNamed[])() = {
+    sram64Tsb,          sttram64Tsb,       sttram4Tsb,
+    sttram4TsbSS,       sttram4TsbRca,     sttram4TsbWb,
+    sttramBuff20,       sttram4TsbWbPlus1Vc, sttramReadPriority,
+    sttram4TsbWbReadPriority,
+};
+
+} // namespace
+
 bool
 byName(const std::string &name, Scenario &out)
 {
-    if (name == "SRAM-64TSB") { out = sram64Tsb(); return true; }
-    if (name == "MRAM-64TSB") { out = sttram64Tsb(); return true; }
-    if (name == "MRAM-4TSB") { out = sttram4Tsb(); return true; }
-    if (name == "MRAM-4TSB-SS") { out = sttram4TsbSS(); return true; }
-    if (name == "MRAM-4TSB-RCA") { out = sttram4TsbRca(); return true; }
-    if (name == "MRAM-4TSB-WB") { out = sttram4TsbWb(); return true; }
-    if (name == "BUFF-20") { out = sttramBuff20(); return true; }
-    if (name == "+1VC") { out = sttram4TsbWbPlus1Vc(); return true; }
-    if (name == "MRAM-RP") { out = sttramReadPriority(); return true; }
-    if (name == "MRAM-4TSB-WB+RP") {
-        out = sttram4TsbWbReadPriority();
-        return true;
+    // "+1VC" is the short spelling older command lines use.
+    const std::string canonical =
+        name == "+1VC" ? std::string("MRAM-4TSB-WB+1VC") : name;
+    for (const auto make : kNamed) {
+        if (Scenario s = make(); s.name == canonical) {
+            out = std::move(s);
+            return true;
+        }
     }
     return false;
 }
@@ -130,9 +141,13 @@ byName(const std::string &name, Scenario &out)
 const char *
 knownNames()
 {
-    return "SRAM-64TSB, MRAM-64TSB, MRAM-4TSB, MRAM-4TSB-SS, "
-           "MRAM-4TSB-RCA, MRAM-4TSB-WB, BUFF-20, +1VC, MRAM-RP, "
-           "MRAM-4TSB-WB+RP";
+    static const std::string names = [] {
+        std::string joined;
+        for (const auto make : kNamed)
+            joined += (joined.empty() ? "" : ", ") + make().name;
+        return joined;
+    }();
+    return names.c_str();
 }
 
 } // namespace stacknoc::system::scenarios

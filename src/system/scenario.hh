@@ -63,6 +63,8 @@ struct Scenario
     /** VCs per virtual network; {2,3,1,1} is the "+1 VC" variant
      *  (one extra lane for the re-ordered write class). */
     std::array<int, 4> vcsPerVnet{2, 2, 1, 1};
+
+    bool operator==(const Scenario &) const = default;
 };
 
 namespace scenarios {
@@ -98,12 +100,14 @@ Scenario sttram4TsbWbReadPriority();
 std::array<Scenario, 6> figureSix();
 
 /**
- * Look up a scenario by its CLI name (e.g. "MRAM-4TSB-WB").
+ * Look up a scenario by its name (e.g. "MRAM-4TSB-WB"). Every
+ * scenario's own .name resolves to itself; "+1VC" is kept as an alias
+ * of "MRAM-4TSB-WB+1VC".
  * @return true and fill @p out on success; false for unknown names.
  */
 bool byName(const std::string &name, Scenario &out);
 
-/** The accepted scenario names, for error messages / usage text. */
+/** The canonical scenario names, for error messages / usage text. */
 const char *knownNames();
 
 } // namespace scenarios

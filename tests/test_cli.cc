@@ -11,6 +11,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <utility>
 
 #include <sys/wait.h>
 
@@ -134,6 +135,36 @@ TEST(Cli, StatsFlagDumpsGroups)
                      "--cycles 2000 --warmup 500 --stats", &out), 0);
     EXPECT_NE(out.find("cache.l1_hits"), std::string::npos);
     EXPECT_NE(out.find("net.packets_injected"), std::string::npos);
+}
+
+/** Input the run spec cannot honour exits 2 with one line naming the
+ *  offending flag — never a fatal inside the simulator. */
+TEST(Cli, UnhonourableSpecExitsTwoWithOneLine)
+{
+    const std::pair<const char *, const char *> cases[] = {
+        {"--scenario MRAM-64TSB --regions 8", "--regions"},
+        {"--scenario SRAM-64TSB --regions 4", "--regions"},
+        {"--scenario BUFF-20 --regions 4", "--regions"},
+        {"--scenario MRAM-RP --regions 4", "--regions"},
+        {"--scenario MRAM-4TSB-WB --regions 0", "--regions"},
+        {"--scenario MRAM-4TSB-WB --regions 3", "--regions"},
+        {"--scenario MRAM-4TSB-WB --mesh 4x4 --regions 32", "--regions"},
+        {"--scenario MRAM-4TSB-WB --hops 0", "--hops"},
+        {"--regions abc", "--regions"},
+        {"--hops two", "--hops"},
+        {"--cycles 0", "--cycles"},
+        {"--cycles 1e4", "--cycles"},
+    };
+    for (const auto &[args, flag] : cases) {
+        std::string out;
+        const int rc = runCli(std::string(args) + " --warmup 0", &out);
+        ASSERT_TRUE(WIFEXITED(rc)) << args;
+        EXPECT_EQ(WEXITSTATUS(rc), 2) << args << ": " << out;
+        EXPECT_NE(out.find(flag), std::string::npos) << args << ": " << out;
+        EXPECT_EQ(out.find('\n'), out.size() - 1)
+            << args << ": want one line, got: " << out;
+        EXPECT_EQ(out.find("fatal"), std::string::npos) << out;
+    }
 }
 
 TEST(Cli, MalformedFaultSpecFailsWithGrammar)

@@ -80,9 +80,9 @@ def events_of(events, kind):
     return [e for e in events if e.get("event") == kind]
 
 
-def direct_digest(cycles=2000):
+def direct_digest(cycles=2000, *extra):
     proc = subprocess.run([RUN, *BASE, "--app", "tpcc",
-                           "--cycles", str(cycles), "--digest"],
+                           "--cycles", str(cycles), "--digest", *extra],
                           capture_output=True, text=True, timeout=240)
     assert proc.returncode == 0, f"stacknoc_run failed:\n{proc.stderr}"
     m = re.search(r"stats_digest (0x[0-9a-f]{16})", proc.stdout)
@@ -135,9 +135,23 @@ def test_server_end_to_end():
         assert status["cache_hits"] == 1
         assert status["cache_entries"] == 2
 
+        # A seed past 2^53 travels as its exact text (a JSON number
+        # would round) and runs the seed stacknoc_run runs.
+        big = ["--seed", "18364758544493064720"]
+        res = events_of(srv.client("run", *JOB, *big), "result")
+        assert res and res[0]["data"]["stats_digest"] == \
+            direct_digest(2000, *big), res
+
         # Submission-time validation fails fast with exit 1.
         bad = srv.client("run", "--scenario", "NOPE", expect_rc=1)
         assert events_of(bad, "error"), bad
+        # An override the scenario cannot honour is refused the same
+        # way, before any worker sees it.
+        bad = srv.client("run", "--scenario", "MRAM-4TSB-WB",
+                         "--regions", "0", expect_rc=1)
+        errors = events_of(bad, "error")
+        assert errors and "--regions" in errors[0]["reason"], bad
+        assert not events_of(bad, "accepted"), bad
     finally:
         srv.shutdown()
 

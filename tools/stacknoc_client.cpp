@@ -6,7 +6,8 @@
  *     stacknoc_client --socket PATH status [--watch SEC]
  *     stacknoc_client --socket PATH shutdown
  *
- * "run" submits one job and prints every server event for it (one JSON
+ * "run" submits one job (the job flags are the RunSpec grammar shared
+ * with stacknoc_run) and prints every server event for it (one JSON
  * object per line) until the result or an error arrives. Exit code: 0
  * on result, 1 on an error event or connection failure, 2 on usage.
  *
@@ -19,7 +20,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
 #include <string>
 #include <thread>
 
@@ -28,9 +28,7 @@
 #include "telemetry/json.hh"
 
 using stacknoc::server::Connection;
-using stacknoc::server::JobRequest;
 using stacknoc::telemetry::JsonValue;
-using stacknoc::telemetry::JsonWriter;
 
 namespace {
 
@@ -44,18 +42,7 @@ usage(const char *argv0)
         "       %s --socket PATH shutdown\n"
         "\n"
         "job flags (defaults in brackets):\n"
-        "  --scenario NAME     scenario [MRAM-4TSB-WB]\n"
-        "  --regions N         TSB region override [scenario default]\n"
-        "  --apps A,B,...      app mix, round-robin over cores [tpcc]\n"
-        "  --seed N            workload seed [1]\n"
-        "  --warmup N          warm-up cycles [3000]\n"
-        "  --cycles N          measured cycles [20000]\n"
-        "  --mesh WxH          mesh dimensions [8x8]\n"
-        "  --threads N         engine threads [1]\n"
-        "  --no-elide          disable idle elision\n"
-        "  --interval N        stream interval events every N cycles [off]\n"
-        "  --fault-spec SPEC   fault campaign spec [clean]\n"
-        "  --real-tags         use the real L2 tag model\n"
+        "%s"
         "\n"
         "status flags:\n"
         "  --watch SEC         poll every SEC seconds (fractional ok)\n"
@@ -66,30 +53,7 @@ usage(const char *argv0)
         "                         up to N times [0]\n"
         "  --connect-backoff-ms N base retry backoff, doubled per\n"
         "                         retry [100]\n",
-        argv0, argv0, argv0);
-}
-
-bool
-parseMesh(const std::string &s, int &w, int &h)
-{
-    const std::size_t x = s.find('x');
-    if (x == std::string::npos)
-        return false;
-    w = std::atoi(s.substr(0, x).c_str());
-    h = std::atoi(s.substr(x + 1).c_str());
-    return w >= 1 && h >= 1;
-}
-
-std::vector<std::string>
-splitCsv(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::string cur;
-    std::istringstream is(s);
-    while (std::getline(is, cur, ','))
-        if (!cur.empty())
-            out.push_back(cur);
-    return out;
+        argv0, argv0, argv0, stacknoc::system::RunSpec::usage().c_str());
 }
 
 double
@@ -172,7 +136,7 @@ main(int argc, char **argv)
     double watchSec = -1.0;
     int connectRetries = 0;
     int connectBackoffMs = 100;
-    JobRequest req;
+    stacknoc::system::RunSpec spec;
 
     int i = 1;
     const auto need = [&](const char *what) -> const char * {
@@ -185,37 +149,14 @@ main(int argc, char **argv)
     };
     for (; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--socket") {
-            socketPath = need("--socket");
-        } else if (arg == "--scenario") {
-            req.scenario = need("--scenario");
-        } else if (arg == "--regions") {
-            req.regions = std::atoi(need("--regions"));
-        } else if (arg == "--apps") {
-            req.apps = splitCsv(need("--apps"));
-        } else if (arg == "--seed") {
-            req.seed = std::strtoull(need("--seed"), nullptr, 10);
-        } else if (arg == "--warmup") {
-            req.warmup = std::strtoull(need("--warmup"), nullptr, 10);
-        } else if (arg == "--cycles") {
-            req.cycles = std::strtoull(need("--cycles"), nullptr, 10);
-        } else if (arg == "--mesh") {
-            if (!parseMesh(need("--mesh"), req.meshWidth,
-                           req.meshHeight)) {
-                std::fprintf(stderr, "%s: bad --mesh (want WxH)\n",
-                             argv[0]);
+        std::string err;
+        if (spec.takeArg(argc, argv, i, err)) {
+            if (!err.empty()) {
+                std::fprintf(stderr, "%s: %s\n", argv[0], err.c_str());
                 return 2;
             }
-        } else if (arg == "--threads") {
-            req.threads = std::atoi(need("--threads"));
-        } else if (arg == "--no-elide") {
-            req.elide = false;
-        } else if (arg == "--interval") {
-            req.interval = std::strtoull(need("--interval"), nullptr, 10);
-        } else if (arg == "--fault-spec") {
-            req.faultSpec = need("--fault-spec");
-        } else if (arg == "--real-tags") {
-            req.realTags = true;
+        } else if (arg == "--socket") {
+            socketPath = need("--socket");
         } else if (arg == "--connect-retries") {
             connectRetries = std::atoi(need("--connect-retries"));
         } else if (arg == "--connect-backoff-ms") {
@@ -275,17 +216,9 @@ main(int argc, char **argv)
         return 1;
     }
 
-    std::string cmdLine;
-    {
-        std::ostringstream os;
-        JsonWriter w(os);
-        w.beginObject();
-        w.kv("cmd", subcommand);
-        if (subcommand == "run")
-            stacknoc::server::writeJobRequestMembers(w, req);
-        w.endObject();
-        cmdLine = os.str();
-    }
+    const std::string cmdLine =
+        subcommand == "run" ? stacknoc::server::runCommand(spec)
+                            : "{\"cmd\":\"" + subcommand + "\"}";
     if (!conn.sendLine(cmdLine, err)) {
         std::fprintf(stderr, "%s: %s\n", argv[0], err.c_str());
         return 1;

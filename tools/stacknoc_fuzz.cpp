@@ -29,7 +29,6 @@
 #include <fstream>
 #include <mutex>
 #include <random>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,9 +37,9 @@
 
 #include "common/cli.hh"
 #include "common/logging.hh"
-#include "fault/fault_spec.hh"
 #include "noc/packet.hh"
 #include "system/cmp_system.hh"
+#include "system/run_spec.hh"
 
 using namespace stacknoc;
 
@@ -177,29 +176,14 @@ toConfig(const FuzzCase &fc)
     cfg.bankWriteCap = fc.writeCap;
     cfg.seed = fc.seed;
 
-    std::vector<std::string> apps;
-    std::stringstream ss(fc.apps);
-    for (std::string item; std::getline(ss, item, ',');)
-        apps.push_back(item);
-    if (apps.size() > 1) {
-        cfg.apps.clear();
-        const int cores = cfg.meshWidth * cfg.meshHeight;
-        for (int c = 0; c < cores; ++c)
-            cfg.apps.push_back(
-                apps[static_cast<std::size_t>(c) % apps.size()]);
-    } else {
-        cfg.apps = apps;
-    }
+    cfg.apps = system::expandApps(system::splitList(fc.apps),
+                                  cfg.meshWidth * cfg.meshHeight);
 
-    if (!fc.faultSpec.empty()) {
-        std::string err;
-        fatal_if(!fault::parseFaultSpec(fc.faultSpec, cfg.faults, err),
-                 "bad fault_spec '%s': %s", fc.faultSpec.c_str(),
-                 err.c_str());
-        cfg.faultsEnabled = cfg.faults.any();
-        // Recovery must never hang: any fuzz deadlock is a finding.
-        cfg.watchdogEnabled = cfg.faultsEnabled;
-    }
+    // Faults imply the watchdog: recovery must never hang, so any fuzz
+    // deadlock is a finding.
+    const std::string err = system::applyFaultSpec(fc.faultSpec, cfg);
+    fatal_if(!err.empty(), "bad fault_spec '%s': %s",
+             fc.faultSpec.c_str(), err.c_str());
 
     cfg.validate = true;
     cfg.validation.failFast = false; // collect, then minimize

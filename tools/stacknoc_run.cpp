@@ -30,6 +30,7 @@
 #include "telemetry/chrome_trace.hh"
 #include "telemetry/trace.hh"
 #include "system/cmp_system.hh"
+#include "system/run_spec.hh"
 #include "system/stats_export.hh"
 #include "workload/app_profiles.hh"
 
@@ -40,26 +41,16 @@ namespace {
 [[noreturn]] void
 usage()
 {
-    std::fprintf(stderr, R"(usage: stacknoc_run [options]
-  --scenario NAME   SRAM-64TSB | MRAM-64TSB | MRAM-4TSB | MRAM-4TSB-SS |
-                    MRAM-4TSB-RCA | MRAM-4TSB-WB | BUFF-20 | +1VC |
-                    MRAM-RP | MRAM-4TSB-WB+RP      (default MRAM-4TSB-WB)
-  --app NAME        one Table 3 application for all cores (default tpcc)
-  --apps A,B,...    comma list, replicated round-robin across cores
-  --cycles N        measured cycles (default 20000)
-  --warmup N        warm-up cycles (default 3000)
-  --seed N          experiment seed (default 1)
-  --mesh WxH        mesh size (default 8x8)
-  --regions N       cache regions: 4, 8 or 16
-  --placement P     corner | stagger
-  --hops H          parent distance (1..3)
-  --delay-mode M    priority | hold
-  --real-tags       use real L2 tag arrays instead of annotations
+    std::fprintf(stderr, "usage: stacknoc_run [options]\n"
+                         "run spec (shared with stacknoc_client; "
+                         "defaults in brackets):\n%s",
+                 system::RunSpec::usage().c_str());
+    std::fprintf(stderr, R"(
+run options:
   --stats           dump every statistics group after the run
   --json-stats FILE write run metrics + all stats groups as JSON
   --trace FILE      stream packet-lifecycle events to a CSV file
   --trace-sample N  trace packets whose id is divisible by N (default 1)
-  --interval N      snapshot all stats groups every N cycles
   --profile         cycle-accounting profile: engine-phase/shard/kind
                     wall-time breakdown on stdout and in --json-stats
   --chrome-trace FILE  write packet lifecycles + engine-phase spans as
@@ -80,14 +71,6 @@ usage()
   --progress        live cycle/rate/IPC/ETA line on stderr
   --validate        run the runtime invariant checkers (abort on failure)
   --validate-period N  checker sweep period in cycles (default 1)
-  --threads N       execution-engine threads (default 1; results are
-                    bit-identical for any N, see docs/ENGINE.md)
-  --no-elide        tick every component every cycle instead of skipping
-                    quiescent ones (results are bit-identical either
-                    way; escape hatch / perf baseline)
-  --fault-spec SPEC fault-injection campaign, e.g.
-                    stt_write_ber=1e-3,tsb_flit_ber=1e-6 (implies the
-                    watchdog; see docs/RESILIENCE.md for the grammar)
   --watchdog N      deadlock watchdog: fail fast when no packet ejects
                     for N cycles with traffic in flight (0 disables)
   --timeout-sec S   wall-clock guard: stop the run after S seconds,
@@ -109,47 +92,13 @@ bit-identical with any combination on or off, at any --threads.
     std::exit(2);
 }
 
-const std::vector<std::string> kKnownOptions = {
-    "--scenario", "--app", "--apps", "--cycles", "--warmup", "--seed",
-    "--mesh", "--regions", "--placement", "--hops", "--delay-mode",
-    "--real-tags", "--stats", "--json-stats", "--trace", "--trace-sample",
-    "--interval", "--profile", "--chrome-trace", "--heatmap",
-    "--heatmap-period", "--power", "--thermal", "--thermal-period",
-    "--progress", "--validate", "--validate-period",
-    "--threads", "--no-elide", "--fault-spec", "--watchdog",
-    "--timeout-sec", "--save-checkpoint", "--restore", "--digest",
-    "--list-apps",
+const std::vector<std::string> kRunOptions = {
+    "--stats", "--json-stats", "--trace", "--trace-sample", "--profile",
+    "--chrome-trace", "--heatmap", "--heatmap-period", "--power",
+    "--thermal", "--thermal-period", "--progress", "--validate",
+    "--validate-period", "--watchdog", "--timeout-sec",
+    "--save-checkpoint", "--restore", "--digest", "--list-apps",
 };
-
-system::Scenario
-scenarioByName(const std::string &name)
-{
-    system::Scenario s;
-    fatal_if(!system::scenarios::byName(name, s),
-             "unknown scenario '%s' (known: %s)", name.c_str(),
-             system::scenarios::knownNames());
-    return s;
-}
-
-std::vector<std::string>
-splitApps(const std::string &list)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= list.size()) {
-        const std::size_t comma = list.find(',', start);
-        const std::string item =
-            list.substr(start, comma == std::string::npos
-                                   ? std::string::npos
-                                   : comma - start);
-        if (!item.empty())
-            out.push_back(item);
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return out;
-}
 
 } // namespace
 
@@ -157,10 +106,8 @@ int
 main(int argc, char **argv)
 {
     setVerbose(false);
+    system::RunSpec spec;
     system::SystemConfig cfg;
-    cfg.scenario = system::scenarios::sttram4TsbWb();
-    Cycle cycles = 20000;
-    Cycle warmup = 3000;
     bool dump_stats = false;
     std::string json_path;
     std::string trace_path;
@@ -168,7 +115,6 @@ main(int argc, char **argv)
     std::string heatmap_prefix;
     Cycle heatmap_period = 1024;
     std::uint64_t trace_sample = 1;
-    std::vector<std::string> app_list{"tpcc"};
     long long watchdog_opt = -1; // -1 unset, 0 off, >0 stallCycles
     double timeout_sec = 0.0;
     std::string save_ckpt_path;
@@ -183,53 +129,12 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--scenario") {
-            cfg.scenario = scenarioByName(need(i)); ++i;
-        } else if (arg == "--app") {
-            app_list = {need(i)}; ++i;
-        } else if (arg == "--apps") {
-            app_list = splitApps(need(i)); ++i;
-        } else if (arg == "--cycles") {
-            cycles = std::strtoull(need(i).c_str(), nullptr, 10); ++i;
-        } else if (arg == "--warmup") {
-            warmup = std::strtoull(need(i).c_str(), nullptr, 10); ++i;
-        } else if (arg == "--seed") {
-            cfg.seed = std::strtoull(need(i).c_str(), nullptr, 10); ++i;
-        } else if (arg == "--mesh") {
-            int w = 0, h = 0;
-            fatal_if(std::sscanf(need(i).c_str(), "%dx%d", &w, &h) != 2,
-                     "--mesh expects WxH");
-            cfg.meshWidth = w;
-            cfg.meshHeight = h;
-            ++i;
-        } else if (arg == "--regions") {
-            cfg.scenario.tsbRegions =
-                static_cast<int>(std::strtol(need(i).c_str(), nullptr,
-                                             10));
-            ++i;
-        } else if (arg == "--placement") {
-            const std::string p = need(i);
-            fatal_if(p != "corner" && p != "stagger",
-                     "--placement: corner|stagger");
-            cfg.scenario.placement = p == "corner"
-                                         ? sttnoc::TsbPlacement::Corner
-                                         : sttnoc::TsbPlacement::Stagger;
-            ++i;
-        } else if (arg == "--hops") {
-            cfg.scenario.parentHops =
-                static_cast<int>(std::strtol(need(i).c_str(), nullptr,
-                                             10));
-            ++i;
-        } else if (arg == "--delay-mode") {
-            const std::string m = need(i);
-            fatal_if(m != "priority" && m != "hold",
-                     "--delay-mode: priority|hold");
-            cfg.scenario.delayMode = m == "priority"
-                                         ? sttnoc::DelayMode::Priority
-                                         : sttnoc::DelayMode::Hold;
-            ++i;
-        } else if (arg == "--real-tags") {
-            cfg.realTags = true;
+        std::string err;
+        if (spec.takeArg(argc, argv, i, err)) {
+            if (!err.empty()) {
+                std::fprintf(stderr, "stacknoc_run: %s\n", err.c_str());
+                return 2;
+            }
         } else if (arg == "--stats") {
             dump_stats = true;
         } else if (arg == "--json-stats") {
@@ -239,10 +144,6 @@ main(int argc, char **argv)
         } else if (arg == "--trace-sample") {
             trace_sample = std::strtoull(need(i).c_str(), nullptr, 10);
             fatal_if(trace_sample == 0, "--trace-sample must be >= 1");
-            ++i;
-        } else if (arg == "--interval") {
-            cfg.intervalPeriod =
-                std::strtoull(need(i).c_str(), nullptr, 10);
             ++i;
         } else if (arg == "--profile") {
             cfg.profile = true;
@@ -280,24 +181,6 @@ main(int argc, char **argv)
                      "--validate-period must be >= 1");
             cfg.validate = true;
             ++i;
-        } else if (arg == "--threads") {
-            cfg.threads =
-                static_cast<int>(std::strtol(need(i).c_str(), nullptr,
-                                             10));
-            fatal_if(cfg.threads < 1, "--threads must be >= 1");
-            ++i;
-        } else if (arg == "--no-elide") {
-            cfg.elide = false;
-        } else if (arg == "--fault-spec") {
-            std::string err;
-            if (!fault::parseFaultSpec(need(i), cfg.faults, err)) {
-                std::fprintf(stderr, "stacknoc_run: bad --fault-spec: "
-                                     "%s\n%s",
-                             err.c_str(), fault::faultSpecGrammar());
-                return 2;
-            }
-            cfg.faultsEnabled = true;
-            ++i;
         } else if (arg == "--watchdog") {
             watchdog_opt = std::strtoll(need(i).c_str(), nullptr, 10);
             fatal_if(watchdog_opt < 0, "--watchdog must be >= 0");
@@ -318,36 +201,30 @@ main(int argc, char **argv)
                             workload::suiteName(a.suite));
             return 0;
         } else {
-            cli::reportUnknownOption("stacknoc_run", arg, kKnownOptions);
+            std::vector<std::string> known = system::RunSpec::flags();
+            known.insert(known.end(), kRunOptions.begin(),
+                         kRunOptions.end());
+            cli::reportUnknownOption("stacknoc_run", arg, known);
             usage();
         }
     }
 
-    // Expand the app list round-robin over all cores.
-    const int cores = cfg.meshWidth * cfg.meshHeight;
-    if (app_list.size() == 1) {
-        cfg.apps = app_list;
-    } else {
-        cfg.apps.clear();
-        for (int c = 0; c < cores; ++c)
-            cfg.apps.push_back(
-                app_list[static_cast<std::size_t>(c) % app_list.size()]);
+    if (const std::string err = spec.resolve(cfg); !err.empty()) {
+        std::fprintf(stderr, "stacknoc_run: %s\n", err.c_str());
+        if (err.rfind("bad --fault-spec", 0) == 0)
+            std::fputs(fault::faultSpecGrammar(), stderr);
+        return 2;
     }
+    cfg.intervalPeriod = spec.interval;
 
     if (!heatmap_prefix.empty())
         cfg.heatmapPeriod = heatmap_period;
     if (cfg.progress)
-        cfg.progressTotalCycles = warmup + cycles;
+        cfg.progressTotalCycles = spec.warmup + spec.cycles;
 
-    // An all-zero spec injects nothing; drop the injector entirely so
-    // the artifacts are bit-identical to a run without --fault-spec.
-    if (cfg.faultsEnabled && !cfg.faults.any())
-        cfg.faultsEnabled = false;
-
-    // A fault campaign always runs under the liveness guard unless the
-    // user explicitly disabled it with --watchdog 0.
-    cfg.watchdogEnabled = watchdog_opt > 0 ||
-                          (watchdog_opt == -1 && cfg.faultsEnabled);
+    // --watchdog overrides the spec's rule (faults imply the watchdog).
+    if (watchdog_opt >= 0)
+        cfg.watchdogEnabled = watchdog_opt > 0;
     if (watchdog_opt > 0)
         cfg.watchdog.stallCycles = static_cast<Cycle>(watchdog_opt);
 
@@ -401,7 +278,7 @@ main(int argc, char **argv)
     system::CmpSystem sys(cfg);
 
     const std::uint64_t warm_digest =
-        snapshot::warmConfigDigest(cfg, warmup);
+        snapshot::warmConfigDigest(cfg, spec.warmup);
     bool restored = false;
     Cycle restored_cycle = 0;
     if (!restore_path.empty()) {
@@ -431,57 +308,46 @@ main(int argc, char **argv)
                  save_ckpt_path.c_str());
     };
 
-    bool timed_out = false;
-    if (timeout_sec > 0.0) {
-        // Chunked execution so the wall-clock guard can interrupt a run
-        // between chunks (the engine itself has no preemption point).
-        const auto deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::duration_cast<
-                std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(timeout_sec));
-        const Cycle chunk = 4096;
-        auto run_chunked = [&](Cycle total) {
-            Cycle left = total;
-            while (left > 0 &&
-                   std::chrono::steady_clock::now() < deadline) {
-                const Cycle step = std::min<Cycle>(chunk, left);
-                sys.run(step);
-                left -= step;
-            }
-            return left;
-        };
-        Cycle left = 0;
-        if (restored) {
-            left = run_chunked(cycles);
-        } else {
-            sys.warmupBegin();
-            left = run_chunked(warmup);
-            if (left == 0) {
-                sys.warmupEnd();
-                write_checkpoint();
-                left = run_chunked(cycles);
-            }
+    // Under --timeout-sec each phase runs in 4096-cycle chunks so the
+    // wall-clock guard can stop between them (the engine itself has no
+    // preemption point); otherwise a phase is one run() call.
+    const auto deadline =
+        std::chrono::steady_clock::now() +
+        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+            std::chrono::duration<double>(timeout_sec));
+    const auto run = [&](Cycle total) { // @return cycles left undone
+        if (timeout_sec <= 0.0) {
+            sys.run(total);
+            return Cycle{0};
         }
-        timed_out = left > 0;
-        if (timed_out) {
-            std::fprintf(stderr,
-                         "TIMEOUT: wall-clock budget of %.1f s exhausted "
-                         "at cycle %llu (%llu cycle(s) short); flushing "
-                         "partial stats\n",
-                         timeout_sec,
-                         static_cast<unsigned long long>(
-                             sys.simulator().now()),
-                         static_cast<unsigned long long>(left));
+        Cycle left = total;
+        while (left > 0 && std::chrono::steady_clock::now() < deadline) {
+            const Cycle step = std::min<Cycle>(4096, left);
+            sys.run(step);
+            left -= step;
         }
-    } else if (restored) {
-        sys.run(cycles);
-    } else {
+        return left;
+    };
+    Cycle left = 0;
+    if (!restored) {
         sys.warmupBegin();
-        sys.run(warmup);
-        sys.warmupEnd();
-        write_checkpoint();
-        sys.run(cycles);
+        left = run(spec.warmup);
+        if (left == 0) {
+            sys.warmupEnd();
+            write_checkpoint();
+        }
+    }
+    if (left == 0)
+        left = run(spec.cycles);
+    const bool timed_out = left > 0;
+    if (timed_out) {
+        std::fprintf(stderr,
+                     "TIMEOUT: wall-clock budget of %.1f s exhausted at "
+                     "cycle %llu (%llu cycle(s) short); flushing partial "
+                     "stats\n",
+                     timeout_sec,
+                     static_cast<unsigned long long>(sys.simulator().now()),
+                     static_cast<unsigned long long>(left));
     }
 
     if (auto *progress = sys.progress())
@@ -501,8 +367,8 @@ main(int argc, char **argv)
     const auto m = sys.metrics();
 
     std::printf("scenario=%s cores=%d cycles=%llu seed=%llu\n",
-                cfg.scenario.name.c_str(), cores,
-                static_cast<unsigned long long>(cycles),
+                cfg.scenario.name.c_str(), cfg.meshWidth * cfg.meshHeight,
+                static_cast<unsigned long long>(spec.cycles),
                 static_cast<unsigned long long>(cfg.seed));
     if (restored)
         std::printf("restored_from_cycle=%llu\n",
@@ -575,14 +441,10 @@ main(int argc, char **argv)
         fatal_if(!out, "cannot open json file '%s'", json_path.c_str());
         system::RunInfo info;
         info.scenario = cfg.scenario.name;
-        for (const auto &a : app_list) {
-            if (!info.app.empty())
-                info.app += ",";
-            info.app += a;
-        }
+        info.app = system::joinList(spec.apps);
         info.seed = cfg.seed;
-        info.warmupCycles = warmup;
-        info.measuredCycles = cycles;
+        info.warmupCycles = spec.warmup;
+        info.measuredCycles = spec.cycles;
         info.timedOut = timed_out;
         info.restored = restored;
         info.restoredFromCycle = restored_cycle;

@@ -30,6 +30,7 @@
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -44,20 +45,20 @@
 #include "common/logging.hh"
 #include "server/client.hh"
 #include "server/protocol.hh"
+#include "system/run_spec.hh"
 #include "telemetry/json.hh"
 
 using namespace stacknoc;
+using system::joinList;
+using system::splitList;
 
 namespace {
 
 struct SweepJob
 {
-    std::string scenario;
-    int regions = 4;
-    std::string mix;       //!< comma list passed to --apps
-    std::uint64_t seed = 1;
-    int threads = 1;
-    std::string tag;       //!< "grid" or "speedup"
+    system::RunSpec spec;
+    int regions = 0;  //!< resolved region-TSB count (0 = unrestricted)
+    std::string tag;  //!< "grid" or "speedup"
 };
 
 struct SweepResult
@@ -85,13 +86,13 @@ struct SweepOptions
 {
     std::vector<std::string> schemes{"MRAM-64TSB", "MRAM-4TSB",
                                      "MRAM-4TSB-WB"};
-    std::vector<int> regions{4};
+    /** Region-count overrides; empty runs each scenario's own. */
+    std::vector<std::optional<int>> regions{std::nullopt};
     std::vector<std::string> mixes{"tpcc", "tpcc,lbm,mcf,libquantum"};
     int seeds = 1;
-    Cycle cycles = 20000;
-    Cycle warmup = 3000;
+    /** Cycles, warm-up and engine threads shared by every job. */
+    system::RunSpec base;
     int jobs = 0; //!< 0 = hardware concurrency
-    int threads = 1;
     std::string runner;
     std::string out = "BENCH_throughput.json";
     std::string speedupScenario = "MRAM-4TSB-WB";
@@ -105,23 +106,12 @@ struct SweepOptions
     int connectBackoffMs = 100; //!< base backoff, doubled per retry
 };
 
-std::vector<std::string>
-splitList(const std::string &list, char sep)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(list);
-    for (std::string item; std::getline(ss, item, sep);)
-        if (!item.empty())
-            out.push_back(item);
-    return out;
-}
-
 [[noreturn]] void
 usage()
 {
     std::fprintf(stderr, R"(usage: stacknoc_sweep [options]
   --schemes A,B,..   scenario names (default MRAM-64TSB,MRAM-4TSB,MRAM-4TSB-WB)
-  --regions N,..     region counts (default 4)
+  --regions N,..     region-count overrides (default: each scenario's own)
   --mixes M1:M2:..   app mixes, ':'-separated, each a comma list
                      (default tpcc:tpcc,lbm,mcf,libquantum)
   --seeds N          seeds 1..N per design point (default 1)
@@ -161,21 +151,6 @@ const std::vector<std::string> kKnownOptions = {
     "--connect-retries", "--connect-backoff-ms",
 };
 
-/** The campaign-server request equivalent to one sweep job. */
-server::JobRequest
-toRequest(const SweepOptions &opt, const SweepJob &job)
-{
-    server::JobRequest req;
-    req.scenario = job.scenario;
-    req.regions = job.regions;
-    req.apps = splitList(job.mix, ',');
-    req.seed = job.seed;
-    req.warmup = opt.warmup;
-    req.cycles = opt.cycles;
-    req.threads = job.threads;
-    return req;
-}
-
 /**
  * fork/exec @p args (argv[0] is the binary), stdout/stderr to
  * /dev/null. @return the child's specific exit code, 128+signal if it
@@ -213,14 +188,21 @@ runChild(const std::vector<std::string> &args)
     return -1;
 }
 
+/** Member @p key of JSON object @p obj as a number; 0 when absent. */
+double
+numberAt(const telemetry::JsonValue *obj, const char *key)
+{
+    const auto *v = obj != nullptr ? obj->find(key) : nullptr;
+    return v != nullptr && v->isNumber() ? v->asDouble() : 0.0;
+}
+
 /** Run one child via fork/exec, parse its --json-stats output. */
 SweepResult
 runJob(const SweepOptions &opt, const SweepJob &job, int idx)
 {
     SweepResult res;
     res.job = job;
-    res.configDigest =
-        server::hexKey(server::cacheKeyDigest(toRequest(opt, job)));
+    res.configDigest = server::hexKey(server::cacheKeyDigest(job.spec));
 
     const std::string json_path =
         (std::filesystem::temp_directory_path() /
@@ -228,23 +210,9 @@ runJob(const SweepOptions &opt, const SweepJob &job, int idx)
                         static_cast<int>(::getpid()), idx))
             .string();
 
-    std::vector<std::string> args{
-        opt.runner,
-        "--scenario", job.scenario,
-        "--regions", detail::format("%d", job.regions),
-        "--apps", job.mix,
-        "--seed",
-        detail::format("%llu", static_cast<unsigned long long>(job.seed)),
-        "--cycles",
-        detail::format("%llu",
-                       static_cast<unsigned long long>(opt.cycles)),
-        "--warmup",
-        detail::format("%llu",
-                       static_cast<unsigned long long>(opt.warmup)),
-        "--threads", detail::format("%d", job.threads),
-        "--digest",
-        "--json-stats", json_path,
-    };
+    std::vector<std::string> args = job.spec.toArgs();
+    args.insert(args.begin(), opt.runner);
+    args.insert(args.end(), {"--digest", "--json-stats", json_path});
     if (opt.profile)
         args.push_back("--profile");
     if (opt.thermal)
@@ -254,9 +222,9 @@ runJob(const SweepOptions &opt, const SweepJob &job, int idx)
     res.exitCode = rc;
     if (rc != 0) {
         warn("sweep: child failed (exit=%d): %s %s r%d %s seed=%llu",
-             rc, opt.runner.c_str(), job.scenario.c_str(), job.regions,
-             job.mix.c_str(),
-             static_cast<unsigned long long>(job.seed));
+             rc, opt.runner.c_str(), job.spec.scenario.c_str(),
+             job.regions, joinList(job.spec.apps).c_str(),
+             static_cast<unsigned long long>(job.spec.seed));
         return res;
     }
 
@@ -269,8 +237,8 @@ runJob(const SweepOptions &opt, const SweepJob &job, int idx)
     const auto doc = telemetry::JsonValue::parse(buf.str(), &err);
     if (!doc) {
         warn("sweep: bad child json (%s) for %s seed=%llu", err.c_str(),
-             job.scenario.c_str(),
-             static_cast<unsigned long long>(job.seed));
+             job.spec.scenario.c_str(),
+             static_cast<unsigned long long>(job.spec.seed));
         return res;
     }
 
@@ -278,26 +246,18 @@ runJob(const SweepOptions &opt, const SweepJob &job, int idx)
     const auto *perf = doc->find("perf");
     if (!metrics || !perf) {
         warn("sweep: child json missing metrics/perf for %s",
-             job.scenario.c_str());
+             job.spec.scenario.c_str());
         return res;
     }
-    auto num = [](const telemetry::JsonValue *obj, const char *key) {
-        const auto *v = obj->find(key);
-        return v && v->isNumber() ? v->asDouble() : 0.0;
-    };
-    res.meanIpc = num(metrics, "mean_ipc");
-    res.instrThroughput = num(metrics, "instruction_throughput");
-    res.avgNetLatency = num(metrics, "avg_network_latency");
-    res.p95NetLatency = num(metrics, "p95_network_latency");
-    res.wallSeconds = num(perf, "wall_seconds");
-    res.ticksPerSec = num(perf, "ticks_per_sec");
-    res.activeFraction = num(perf, "active_fraction");
-    if (const auto *energy = metrics->find("energy_uj");
-        energy && energy->isObject())
-        res.totalEnergyUJ = num(energy, "total");
-    if (const auto *thermal = doc->find("thermal");
-        thermal && thermal->isObject())
-        res.peakTempC = num(thermal, "peak_c");
+    res.meanIpc = numberAt(metrics, "mean_ipc");
+    res.instrThroughput = numberAt(metrics, "instruction_throughput");
+    res.avgNetLatency = numberAt(metrics, "avg_network_latency");
+    res.p95NetLatency = numberAt(metrics, "p95_network_latency");
+    res.wallSeconds = numberAt(perf, "wall_seconds");
+    res.ticksPerSec = numberAt(perf, "ticks_per_sec");
+    res.activeFraction = numberAt(perf, "active_fraction");
+    res.totalEnergyUJ = numberAt(metrics->find("energy_uj"), "total");
+    res.peakTempC = numberAt(doc->find("thermal"), "peak_c");
     if (const auto *profile = doc->find("profile");
         profile && profile->isObject()) {
         if (const auto *phases = profile->find("phases");
@@ -339,16 +299,9 @@ runJobsViaServer(const SweepOptions &opt,
     std::deque<std::size_t> awaitingAccept;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         results[i].job = jobs[i];
-        const server::JobRequest req = toRequest(opt, jobs[i]);
         results[i].configDigest =
-            server::hexKey(server::cacheKeyDigest(req));
-        std::ostringstream os;
-        telemetry::JsonWriter w(os);
-        w.beginObject();
-        w.kv("cmd", "run");
-        server::writeJobRequestMembers(w, req);
-        w.endObject();
-        if (!conn.sendLine(os.str(), err)) {
+            server::hexKey(server::cacheKeyDigest(jobs[i].spec));
+        if (!conn.sendLine(server::runCommand(jobs[i].spec), err)) {
             warn("sweep: %s", err.c_str());
             return false;
         }
@@ -384,7 +337,7 @@ runJobsViaServer(const SweepOptions &opt,
         if (kind == "error") {
             const auto *reason = doc->find("reason");
             warn("sweep: server error on %s: %s",
-                 res.job.scenario.c_str(),
+                 res.job.spec.scenario.c_str(),
                  reason && reason->isString()
                      ? reason->asString().c_str()
                      : "?");
@@ -396,18 +349,14 @@ runJobsViaServer(const SweepOptions &opt,
             continue;
         const auto *data = doc->find("data");
         if (data && data->isObject()) {
-            const auto num = [&](const char *key) {
-                const auto *v = data->find(key);
-                return v && v->isNumber() ? v->asDouble() : 0.0;
-            };
-            res.meanIpc = num("mean_ipc");
-            res.instrThroughput = num("instruction_throughput");
-            res.avgNetLatency = num("avg_network_latency");
-            res.p95NetLatency = num("p95_network_latency");
-            res.wallSeconds = num("wall_seconds");
-            res.ticksPerSec = num("ticks_per_sec");
-            res.activeFraction = num("active_fraction");
-            res.totalEnergyUJ = num("total_energy_uj");
+            res.meanIpc = numberAt(data, "mean_ipc");
+            res.instrThroughput = numberAt(data, "instruction_throughput");
+            res.avgNetLatency = numberAt(data, "avg_network_latency");
+            res.p95NetLatency = numberAt(data, "p95_network_latency");
+            res.wallSeconds = numberAt(data, "wall_seconds");
+            res.ticksPerSec = numberAt(data, "ticks_per_sec");
+            res.activeFraction = numberAt(data, "active_fraction");
+            res.totalEnergyUJ = numberAt(data, "total_energy_uj");
             if (const auto *d = data->find("stats_digest");
                 d && d->isString())
                 res.statsDigest = d->asString();
@@ -465,11 +414,11 @@ void
 writeRun(telemetry::JsonWriter &w, const SweepResult &r)
 {
     w.beginObject();
-    w.kv("scenario", r.job.scenario);
+    w.kv("scenario", r.job.spec.scenario);
     w.kv("regions", r.job.regions);
-    w.kv("mix", r.job.mix);
-    w.kv("seed", static_cast<std::uint64_t>(r.job.seed));
-    w.kv("threads", r.job.threads);
+    w.kv("mix", joinList(r.job.spec.apps));
+    w.kv("seed", r.job.spec.seed);
+    w.kv("threads", r.job.spec.threads);
     w.kv("ok", r.ok);
     w.kv("exit_code", r.exitCode);
     w.kv("config_digest", r.configDigest);
@@ -502,6 +451,14 @@ main(int argc, char **argv)
 {
     setVerbose(false);
     SweepOptions opt;
+    // Spec-grammar errors exit 2 with a one-line reason, as in
+    // stacknoc_run.
+    const auto specArg = [](const std::string &err) {
+        if (err.empty())
+            return;
+        std::fprintf(stderr, "stacknoc_sweep: %s\n", err.c_str());
+        std::exit(2);
+    };
 
     auto need = [&](int i) {
         if (i + 1 >= argc)
@@ -514,8 +471,11 @@ main(int argc, char **argv)
             opt.schemes = splitList(need(i), ','); ++i;
         } else if (arg == "--regions") {
             opt.regions.clear();
-            for (const auto &r : splitList(need(i), ','))
-                opt.regions.push_back(std::stoi(r));
+            for (const auto &r : splitList(need(i), ',')) {
+                system::RunSpec one;
+                specArg(one.set(arg, r));
+                opt.regions.push_back(one.regions);
+            }
             ++i;
         } else if (arg == "--mixes") {
             opt.mixes = splitList(need(i), ':'); ++i;
@@ -523,16 +483,11 @@ main(int argc, char **argv)
             opt.seeds = std::atoi(need(i).c_str());
             fatal_if(opt.seeds < 1, "--seeds must be >= 1");
             ++i;
-        } else if (arg == "--cycles") {
-            opt.cycles = std::strtoull(need(i).c_str(), nullptr, 10); ++i;
-        } else if (arg == "--warmup") {
-            opt.warmup = std::strtoull(need(i).c_str(), nullptr, 10); ++i;
+        } else if (arg == "--cycles" || arg == "--warmup" ||
+                   arg == "--threads") {
+            specArg(opt.base.set(arg, need(i))); ++i;
         } else if (arg == "--jobs") {
             opt.jobs = std::atoi(need(i).c_str()); ++i;
-        } else if (arg == "--threads") {
-            opt.threads = std::atoi(need(i).c_str());
-            fatal_if(opt.threads < 1, "--threads must be >= 1");
-            ++i;
         } else if (arg == "--runner") {
             opt.runner = need(i); ++i;
         } else if (arg == "--out") {
@@ -580,33 +535,38 @@ main(int argc, char **argv)
             opt.jobs = 4;
     }
 
-    // Build the job list: the full grid, then the speedup pair.
+    // Build the job list: the full grid, then the speedup pair. Every
+    // job resolves up front, so a scenario that cannot honour an
+    // override fails the whole campaign before anything runs.
     std::vector<SweepJob> jobs;
+    const auto addJob = [&](const std::string &scheme,
+                            std::optional<int> regions,
+                            const std::string &mix, std::uint64_t seed,
+                            int threads, const char *tag) {
+        SweepJob j;
+        j.spec = opt.base;
+        j.spec.scenario = scheme;
+        j.spec.regions = regions;
+        j.spec.apps = splitList(mix);
+        j.spec.seed = seed;
+        j.spec.threads = threads;
+        j.tag = tag;
+        system::SystemConfig cfg;
+        specArg(j.spec.resolve(cfg));
+        j.regions = cfg.scenario.tsbRegions;
+        jobs.push_back(std::move(j));
+    };
     for (const auto &scheme : opt.schemes)
-        for (const int regions : opt.regions)
+        for (const auto &regions : opt.regions)
             for (const auto &mix : opt.mixes)
-                for (int s = 1; s <= opt.seeds; ++s) {
-                    SweepJob j;
-                    j.scenario = scheme;
-                    j.regions = regions;
-                    j.mix = mix;
-                    j.seed = static_cast<std::uint64_t>(s);
-                    j.threads = opt.threads;
-                    j.tag = "grid";
-                    jobs.push_back(j);
-                }
-    if (opt.speedup) {
-        for (const int t : {1, opt.speedupThreads}) {
-            SweepJob j;
-            j.scenario = opt.speedupScenario;
-            j.regions = opt.regions.front();
-            j.mix = opt.mixes.front();
-            j.seed = 1;
-            j.threads = t;
-            j.tag = "speedup";
-            jobs.push_back(j);
-        }
-    }
+                for (int s = 1; s <= opt.seeds; ++s)
+                    addJob(scheme, regions, mix,
+                           static_cast<std::uint64_t>(s),
+                           opt.base.threads, "grid");
+    if (opt.speedup)
+        for (const int t : {1, opt.speedupThreads})
+            addJob(opt.speedupScenario, opt.regions.front(),
+                   opt.mixes.front(), 1, t, "speedup");
 
     // --resume: skip grid points an earlier (interrupted) campaign
     // already completed; their records are re-emitted verbatim.
@@ -618,7 +578,7 @@ main(int argc, char **argv)
             for (const auto &j : jobs) {
                 if (j.tag == "grid") {
                     const std::string digest = server::hexKey(
-                        server::cacheKeyDigest(toRequest(opt, j)));
+                        server::cacheKeyDigest(j.spec));
                     if (const auto it = prior.find(digest);
                         it != prior.end()) {
                         resumedRecords.push_back(it->second);
@@ -636,20 +596,21 @@ main(int argc, char **argv)
     }
 
     std::vector<SweepResult> results(jobs.size());
+    const auto report = [&](std::size_t i) {
+        std::fprintf(stderr, "  [%zu/%zu] %s r%d %s seed=%llu t%d %s\n",
+                     i + 1, jobs.size(), jobs[i].spec.scenario.c_str(),
+                     jobs[i].regions, joinList(jobs[i].spec.apps).c_str(),
+                     static_cast<unsigned long long>(jobs[i].spec.seed),
+                     jobs[i].spec.threads,
+                     results[i].ok ? "ok" : "FAILED");
+    };
     if (!opt.server.empty()) {
         std::fprintf(stderr, "sweep: %zu job(s) via server %s\n",
                      jobs.size(), opt.server.c_str());
         if (!runJobsViaServer(opt, jobs, results))
             return 1;
         for (std::size_t i = 0; i < results.size(); ++i)
-            std::fprintf(stderr, "  [%zu/%zu] %s r%d %s seed=%llu "
-                         "t%d %s\n",
-                         i + 1, results.size(),
-                         jobs[i].scenario.c_str(), jobs[i].regions,
-                         jobs[i].mix.c_str(),
-                         static_cast<unsigned long long>(jobs[i].seed),
-                         jobs[i].threads,
-                         results[i].ok ? "ok" : "FAILED");
+            report(i);
     } else {
         std::fprintf(stderr,
                      "sweep: %zu job(s) across %d process(es)\n",
@@ -668,16 +629,7 @@ main(int argc, char **argv)
                 results[idx] =
                     runJob(opt, jobs[idx], static_cast<int>(idx));
                 std::lock_guard<std::mutex> lk(m);
-                std::fprintf(stderr, "  [%zu/%zu] %s r%d %s seed=%llu "
-                             "t%d %s\n",
-                             idx + 1, jobs.size(),
-                             jobs[idx].scenario.c_str(),
-                             jobs[idx].regions,
-                             jobs[idx].mix.c_str(),
-                             static_cast<unsigned long long>(
-                                 jobs[idx].seed),
-                             jobs[idx].threads,
-                             results[idx].ok ? "ok" : "FAILED");
+                report(idx);
             }
         };
         std::vector<std::thread> pool;
@@ -713,10 +665,10 @@ main(int argc, char **argv)
     w.kv("schema_version", 5);
     w.key("grid");
     w.beginObject();
-    w.kv("cycles", static_cast<std::uint64_t>(opt.cycles));
-    w.kv("warmup", static_cast<std::uint64_t>(opt.warmup));
+    w.kv("cycles", opt.base.cycles);
+    w.kv("warmup", opt.base.warmup);
     w.kv("seeds", opt.seeds);
-    w.kv("threads", opt.threads);
+    w.kv("threads", opt.base.threads);
     // Interprets the speedup number: a 4-thread engine on a 1-core host
     // cannot beat sequential no matter how good the sharding is.
     const int hw = static_cast<int>(std::thread::hardware_concurrency());
@@ -748,16 +700,16 @@ main(int argc, char **argv)
     for (const auto &r : results) {
         if (r.job.tag != "speedup")
             continue;
-        (r.job.threads == 1 ? base : par) = &r;
+        (r.job.spec.threads == 1 ? base : par) = &r;
     }
     if (base && par && base->ok && par->ok) {
         w.beginObject();
-        w.kv("scenario", base->job.scenario);
-        w.kv("mix", base->job.mix);
-        w.kv("cycles", static_cast<std::uint64_t>(opt.cycles));
+        w.kv("scenario", base->job.spec.scenario);
+        w.kv("mix", joinList(base->job.spec.apps));
+        w.kv("cycles", opt.base.cycles);
         w.kv("base_threads", 1);
         w.kv("base_ticks_per_sec", base->ticksPerSec);
-        w.kv("par_threads", par->job.threads);
+        w.kv("par_threads", par->job.spec.threads);
         w.kv("par_ticks_per_sec", par->ticksPerSec);
         const double speedup = base->ticksPerSec > 0.0
                                    ? par->ticksPerSec / base->ticksPerSec
@@ -767,7 +719,7 @@ main(int argc, char **argv)
         std::fprintf(stderr,
                      "sweep: speedup %dT vs 1T on %s = %.2fx "
                      "(%.0f vs %.0f ticks/s)\n",
-                     par->job.threads, base->job.scenario.c_str(),
+                     par->job.spec.threads, base->job.spec.scenario.c_str(),
                      speedup, par->ticksPerSec, base->ticksPerSec);
     } else {
         w.null();
