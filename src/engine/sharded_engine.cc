@@ -2,6 +2,7 @@
 
 #include "common/logging.hh"
 #include "engine/tick_dispatch.hh"
+#include "sim/stats.hh"
 #include "telemetry/profile.hh"
 
 namespace stacknoc::engine {
@@ -41,7 +42,6 @@ ShardedParallelEngine::ShardedParallelEngine(Simulator &sim, int threads,
     shard_state_.reserve(nshards);
     for (std::size_t s = 0; s < nshards; ++s) {
         shard_state_.push_back(std::make_unique<ShardState>());
-        tick_logs_.push_back(&shard_state_.back()->tick_log);
         trace_logs_.push_back(&shard_state_.back()->trace_log);
         // Everything starts awake; the first tick proves quiescence.
         shard_state_.back()->active.assign(plan_.shards[s].size(), 1);
@@ -132,9 +132,12 @@ void
 ShardedParallelEngine::runShard(std::size_t shard, Cycle now)
 {
     ShardState &st = *shard_state_[shard];
+    // The tracer is installed and removed only between run() calls.
+    const bool tracing = telemetry::tracer() != nullptr;
     ChannelBase::setStagingList(&st.staged_channels);
-    stats::setTickLog(&st.tick_log);
-    telemetry::setTraceLog(&st.trace_log);
+    stats::setConcurrentUpdates(true);
+    if (tracing)
+        telemetry::setTraceLog(&st.trace_log);
     const std::vector<ShardItem> &items = plan_.shards[shard];
     if (elide_) {
         std::uint64_t ticked = 0;
@@ -142,8 +145,8 @@ ShardedParallelEngine::runShard(std::size_t shard, Cycle now)
             if (!st.active[i])
                 continue;
             const ShardItem &item = items[i];
-            st.tick_log.beginComponent(item.ordinal);
-            st.trace_log.beginComponent(item.ordinal);
+            if (tracing)
+                st.trace_log.beginComponent(item.ordinal);
             tickByKind(item, now);
             ++ticked;
             if (quiescentByKind(item, now))
@@ -152,14 +155,14 @@ ShardedParallelEngine::runShard(std::size_t shard, Cycle now)
         st.ticked += ticked;
     } else {
         for (const ShardItem &item : items) {
-            st.tick_log.beginComponent(item.ordinal);
-            st.trace_log.beginComponent(item.ordinal);
+            if (tracing)
+                st.trace_log.beginComponent(item.ordinal);
             tickByKind(item, now);
         }
         st.ticked += items.size();
     }
     ChannelBase::setStagingList(nullptr);
-    stats::setTickLog(nullptr);
+    stats::setConcurrentUpdates(false);
     telemetry::setTraceLog(nullptr);
 }
 
@@ -187,19 +190,18 @@ ShardedParallelEngine::runSerial(Cycle now)
 void
 ShardedParallelEngine::commitStagedState()
 {
-    // Commit phase: channel splices first (cheap, order-free — each
-    // channel is enrolled in exactly one shard's list because channels
-    // are single-sender), then the ordinal-ordered stat/trace replay.
+    // Commit phase: channel splices (cheap, order-free — each channel is
+    // enrolled in exactly one shard's list because channels are
+    // single-sender), then, while tracing, the ordinal-ordered trace
+    // replay. Stats need no commit: their updates commute.
     for (auto &st : shard_state_) {
         for (ChannelBase *ch : st->staged_channels)
             ch->commitStaged();
         st->staged_channels.clear();
     }
-    if (!tick_logs_.empty()) {
-        stats::TickLog::applyInOrder(tick_logs_.data(), tick_logs_.size());
+    if (telemetry::tracer() != nullptr)
         telemetry::TraceLog::applyInOrder(trace_logs_.data(),
                                           trace_logs_.size());
-    }
 }
 
 void

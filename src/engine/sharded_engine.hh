@@ -15,7 +15,6 @@
 #include "engine/engine.hh"
 #include "engine/shard_plan.hh"
 #include "sim/channel.hh"
-#include "sim/stats.hh"
 #include "telemetry/trace.hh"
 
 namespace stacknoc::snapshot {
@@ -30,16 +29,17 @@ namespace stacknoc::engine {
  *
  *  1. Parallel compute phase: every shard ticks its active components
  *     in ascending schedule-ordinal order (kind-batched, devirtualized
- *     dispatch) with thread-local staging installed, so channel pushes,
- *     stat mutations and trace records are deferred into per-shard
- *     buffers instead of touching shared state. With elision on, a
+ *     dispatch) with thread-local staging installed, so channel pushes
+ *     and (while tracing) trace records are deferred into per-shard
+ *     buffers instead of touching shared state. Stats update in place
+ *     through relaxed atomic adds, which commute. With elision on, a
  *     component reporting quiescent() after its tick leaves the active
  *     set until a wake re-arms it.
  *  2. Barrier (sense = epoch counter, spin with yield fallback).
  *  3. Commit phase (main thread): staged channel values are spliced
- *     into the live queues (waking each channel's receiver); stat and
- *     trace logs are merged by schedule ordinal — the exact sequential
- *     application order — and replayed.
+ *     into the live queues (waking each channel's receiver); while
+ *     tracing, trace logs are merged by schedule ordinal — the exact
+ *     sequential recording order — and replayed.
  *  4. Serial phase (main thread): components registered with
  *     kSerialAffinity tick with staging off.
  *  5. Cycle-end callbacks and clock advance via Simulator::completeCycle.
@@ -85,7 +85,6 @@ class ShardedParallelEngine : public ExecutionEngine
     struct ShardState
     {
         std::vector<ChannelBase *> staged_channels;
-        stats::TickLog tick_log;
         telemetry::TraceLog trace_log;
         /**
          * Active flags, 1:1 with the shard's plan items. Written by
@@ -120,7 +119,6 @@ class ShardedParallelEngine : public ExecutionEngine
     int spin_iters_ = 0;
 
     std::vector<std::unique_ptr<ShardState>> shard_state_;
-    std::vector<stats::TickLog *> tick_logs_;
     std::vector<telemetry::TraceLog *> trace_logs_;
 
     // Cycle handshake: the main thread publishes cycle_ then bumps

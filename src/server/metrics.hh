@@ -12,8 +12,8 @@
  *
  * Lock-free single-writer by construction: the CampaignServer's one
  * poll loop is the only thread that ever touches the registry, so the
- * mutators are plain stores — no atomics, no TickLog deferral, no
- * observable cost when nobody scrapes. The simulation itself is never
+ * mutators are plain stores — no atomics, no observable cost when
+ * nobody scrapes. The simulation itself is never
  * instrumented here; workers are separate processes and the registry
  * only counts what crosses the server's file descriptors, which is
  * what keeps fleet observability observer-only with respect to

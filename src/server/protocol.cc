@@ -8,7 +8,6 @@
 
 namespace stacknoc::server {
 
-using telemetry::JsonValue;
 using telemetry::JsonWriter;
 
 std::uint64_t
@@ -37,48 +36,6 @@ runCommand(const system::RunSpec &spec)
     w.kv("cmd", "run");
     spec.writeJson(w);
     w.endObject();
-    return os.str();
-}
-
-void
-writeJsonValue(JsonWriter &w, const JsonValue &v)
-{
-    switch (v.type()) {
-    case JsonValue::Type::Null:
-        w.null();
-        break;
-    case JsonValue::Type::Bool:
-        w.value(v.asBool());
-        break;
-    case JsonValue::Type::Number:
-        w.value(v.asDouble());
-        break;
-    case JsonValue::Type::String:
-        w.value(v.asString());
-        break;
-    case JsonValue::Type::Array:
-        w.beginArray();
-        for (const JsonValue &e : v.elements())
-            writeJsonValue(w, e);
-        w.endArray();
-        break;
-    case JsonValue::Type::Object:
-        w.beginObject();
-        for (const auto &[k, m] : v.members()) {
-            w.key(k);
-            writeJsonValue(w, m);
-        }
-        w.endObject();
-        break;
-    }
-}
-
-std::string
-jsonValueToString(const JsonValue &v)
-{
-    std::ostringstream os;
-    JsonWriter w(os);
-    writeJsonValue(w, v);
     return os.str();
 }
 

@@ -49,11 +49,6 @@ std::uint64_t cacheKeyDigest(const system::RunSpec &spec);
 /** The {"cmd":"run", <spec members>} command line for @p spec. */
 std::string runCommand(const system::RunSpec &spec);
 
-/** Render any parsed JsonValue back to compact JSON. */
-void writeJsonValue(telemetry::JsonWriter &w,
-                    const telemetry::JsonValue &v);
-std::string jsonValueToString(const telemetry::JsonValue &v);
-
 /** "0x%016x" rendering used for keys and digests on the wire. */
 std::string hexKey(std::uint64_t v);
 

@@ -26,6 +26,7 @@ namespace stacknoc::server {
 
 using telemetry::JsonValue;
 using telemetry::JsonWriter;
+using telemetry::jsonValueToString;
 
 namespace {
 

@@ -1,77 +1,36 @@
 #include "sim/stats.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <functional>
 #include <iomanip>
 
 #include "common/logging.hh"
 
 namespace stacknoc::stats {
 
-void
-TickLog::averageSample(Average *a, double v)
-{
-    entries_.push_back(
-        {ordinal_, Op::AvgSample, a, std::bit_cast<std::uint64_t>(v), 0});
-}
+namespace {
 
+/** dst = v when better(v, dst), as a compare-and-swap loop when
+ *  @p concurrent. */
+template <typename Better>
 void
-TickLog::apply(const Entry &e)
+improve(std::uint64_t &dst, std::uint64_t v, bool concurrent, Better better)
 {
-    switch (e.op) {
-      case Op::CounterInc:
-        static_cast<Counter *>(e.target)->inc(e.a);
-        break;
-      case Op::CounterSet:
-        static_cast<Counter *>(e.target)->set(e.a);
-        break;
-      case Op::AvgSample:
-        static_cast<Average *>(e.target)->sample(std::bit_cast<double>(e.a));
-        break;
-      case Op::DistSample:
-        static_cast<Distribution *>(e.target)->sample(e.a, e.b);
-        break;
-      case Op::HistSample:
-        static_cast<Histogram *>(e.target)->sample(e.a, e.b);
-        break;
+    if (!concurrent) {
+        if (better(v, dst))
+            dst = v;
+        return;
+    }
+    std::atomic_ref<std::uint64_t> a(dst);
+    std::uint64_t cur = a.load(std::memory_order_relaxed);
+    while (better(v, cur) &&
+           !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
     }
 }
 
-void
-TickLog::applyInOrder(TickLog *const *logs, std::size_t n)
-{
-    panic_if(tickLog() != nullptr,
-             "TickLog::applyInOrder would re-defer into an installed log");
-
-    // K-way merge by component ordinal. Within one log, entries are
-    // already in tick order (a shard ticks its components in ascending
-    // ordinal order), so each log is consumed front-to-back; across
-    // logs, the run with the smallest front ordinal goes first. Each
-    // ordinal lives in exactly one log, so the merge is a total order —
-    // the same order the sequential engine would have produced.
-    std::vector<std::size_t> pos(n, 0);
-    for (;;) {
-        std::size_t best = n;
-        std::uint32_t best_ord = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (pos[i] >= logs[i]->entries_.size())
-                continue;
-            const std::uint32_t ord = logs[i]->entries_[pos[i]].ordinal;
-            if (best == n || ord < best_ord) {
-                best = i;
-                best_ord = ord;
-            }
-        }
-        if (best == n)
-            break;
-        auto &entries = logs[best]->entries_;
-        std::size_t &p = pos[best];
-        while (p < entries.size() && entries[p].ordinal == best_ord)
-            apply(entries[p++]);
-    }
-    for (std::size_t i = 0; i < n; ++i)
-        logs[i]->clear();
-}
+} // namespace
 
 Distribution::Distribution(std::vector<std::uint64_t> edges)
     : edges_(std::move(edges)), counts_(edges_.size() + 1, 0)
@@ -84,10 +43,6 @@ Distribution::Distribution(std::vector<std::uint64_t> edges)
 void
 Distribution::sample(std::uint64_t v, std::uint64_t weight)
 {
-    if (TickLog *log = tickLog()) {
-        log->distributionSample(this, v, weight);
-        return;
-    }
     std::size_t bin = edges_.size();
     for (std::size_t i = 0; i < edges_.size(); ++i) {
         if (v < edges_[i]) {
@@ -95,8 +50,9 @@ Distribution::sample(std::uint64_t v, std::uint64_t weight)
             break;
         }
     }
-    counts_[bin] += weight;
-    total_ += weight;
+    const bool concurrent = concurrentUpdates();
+    detail::add(counts_[bin], weight, concurrent);
+    detail::add(total_, weight, concurrent);
 }
 
 double
@@ -147,17 +103,14 @@ Histogram::bucketHi(std::size_t i)
 void
 Histogram::sample(std::uint64_t v, std::uint64_t weight)
 {
-    if (TickLog *log = tickLog()) {
-        log->histogramSample(this, v, weight);
-        return;
-    }
     if (weight == 0)
         return;
-    counts_[bucketOf(v)] += weight;
-    count_ += weight;
-    sum_ += v * weight;
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
+    const bool concurrent = concurrentUpdates();
+    detail::add(counts_[bucketOf(v)], weight, concurrent);
+    detail::add(count_, weight, concurrent);
+    detail::add(sum_, v * weight, concurrent);
+    improve(min_, v, concurrent, std::less<>());
+    improve(max_, v, concurrent, std::greater<>());
 }
 
 double

@@ -9,6 +9,7 @@
 #define STACKNOC_SIM_STATS_HH
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <ostream>
@@ -19,115 +20,50 @@
 
 namespace stacknoc::stats {
 
-class Counter;
-class Average;
-class Distribution;
-class Histogram;
-
-/**
- * A deferred statistics-mutation log, the mechanism that keeps shared
- * stat objects (one Counter referenced by all 64 routers, one Average
- * sampled by every NI, ...) both data-race free and bit-identical under
- * the sharded parallel execution engine.
- *
- * Each worker thread installs one TickLog via setTickLog(); while
- * installed, every Counter::inc / Average::sample / Histogram::sample /
- * Distribution::sample records an entry tagged with the ordinal of the
- * component currently ticking (beginComponent()) instead of mutating the
- * stat. After the phase barrier the engine merges all per-thread logs by
- * component ordinal — the exact order the sequential engine would have
- * applied them in — and replays them single-threaded. Integer counters
- * would be order-insensitive anyway, but Average accumulates a double
- * sum, where addition order changes the rounding; ordinal-ordered replay
- * makes even those bits identical.
- *
- * With no log installed (the default) every stat mutates immediately.
- */
-class TickLog
-{
-  public:
-    /** Tag subsequent entries with component ordinal @p ordinal. */
-    void beginComponent(std::uint32_t ordinal) { ordinal_ = ordinal; }
-
-    bool empty() const { return entries_.empty(); }
-    void clear() { entries_.clear(); }
-    std::size_t size() const { return entries_.size(); }
-
-    void
-    counterInc(Counter *c, std::uint64_t n)
-    {
-        entries_.push_back({ordinal_, Op::CounterInc, c, n, 0});
-    }
-
-    void
-    counterSet(Counter *c, std::uint64_t v)
-    {
-        entries_.push_back({ordinal_, Op::CounterSet, c, v, 0});
-    }
-
-    void averageSample(Average *a, double v);
-
-    void
-    distributionSample(Distribution *d, std::uint64_t v, std::uint64_t w)
-    {
-        entries_.push_back({ordinal_, Op::DistSample, d, v, w});
-    }
-
-    void
-    histogramSample(Histogram *h, std::uint64_t v, std::uint64_t w)
-    {
-        entries_.push_back({ordinal_, Op::HistSample, h, v, w});
-    }
-
-    /**
-     * Merge @p n logs by component ordinal and apply them. Must run with
-     * no TickLog installed on the calling thread (entries are replayed
-     * through the ordinary stat mutators). Each component ordinal may
-     * appear in at most one log (a component ticks on exactly one
-     * shard), so the merge needs no tie-breaking.
-     */
-    static void applyInOrder(TickLog *const *logs, std::size_t n);
-
-  private:
-    enum class Op : std::uint8_t {
-        CounterInc,
-        CounterSet,
-        AvgSample,
-        DistSample,
-        HistSample,
-    };
-
-    struct Entry
-    {
-        std::uint32_t ordinal;
-        Op op;
-        void *target;
-        std::uint64_t a; //!< count / value / bit-cast double
-        std::uint64_t b; //!< weight
-    };
-
-    static void apply(const Entry &e);
-
-    std::vector<Entry> entries_;
-    std::uint32_t ordinal_ = 0;
-};
-
 namespace detail {
-inline thread_local TickLog *t_tick_log = nullptr;
+/** Set while this thread runs a parallel compute phase. */
+inline thread_local bool t_concurrent = false;
+
+// Stat fields are plain uint64_t members updated through atomic_ref.
+static_assert(std::atomic_ref<std::uint64_t>::required_alignment ==
+              alignof(std::uint64_t));
+
+/** dst += n, as a relaxed atomic add when @p concurrent. */
+inline void
+add(std::uint64_t &dst, std::uint64_t n, bool concurrent)
+{
+    if (concurrent)
+        std::atomic_ref<std::uint64_t>(dst).fetch_add(
+            n, std::memory_order_relaxed);
+    else
+        dst += n;
+}
 } // namespace detail
 
-/** Install @p log as this thread's deferral target (null = immediate). */
+/**
+ * Select how this thread updates stats. Every stat update is an integer
+ * add, a min or a max, so updates commute: the final values do not
+ * depend on the order in which components apply them. That lets the
+ * sharded engine's workers update shared stat objects (one Counter
+ * referenced by all 64 routers, one Average sampled by every NI, ...)
+ * in place during a parallel compute phase. With @p on, updates are
+ * relaxed atomic adds (compare-and-swap loops for Histogram min/max),
+ * which keeps them race free; off (the default), they are plain adds.
+ *
+ * Stats are read only between phases (cycle-end callbacks, exporters),
+ * never by a component during its tick.
+ */
 inline void
-setTickLog(TickLog *log)
+setConcurrentUpdates(bool on)
 {
-    detail::t_tick_log = log;
+    detail::t_concurrent = on;
 }
 
-/** @return this thread's installed deferral log, or null. */
-inline TickLog *
-tickLog()
+/** @return whether this thread updates stats atomically. */
+inline bool
+concurrentUpdates()
 {
-    return detail::t_tick_log;
+    return detail::t_concurrent;
 }
 
 /** A monotonically growing scalar statistic. */
@@ -137,21 +73,7 @@ class Counter
     void
     inc(std::uint64_t n = 1)
     {
-        if (TickLog *log = tickLog()) {
-            log->counterInc(this, n);
-            return;
-        }
-        value_ += n;
-    }
-
-    void
-    set(std::uint64_t v)
-    {
-        if (TickLog *log = tickLog()) {
-            log->counterSet(this, v);
-            return;
-        }
-        value_ = v;
+        detail::add(value_, n, concurrentUpdates());
     }
 
     std::uint64_t value() const { return value_; }
@@ -161,34 +83,36 @@ class Counter
     std::uint64_t value_ = 0;
 };
 
-/** An accumulating mean (sum / count). */
+/**
+ * An accumulating mean (sum / count) of integer samples (every caller
+ * samples a cycle count). The sum is an exact integer; sum() and mean()
+ * report it as a double, the same value a double accumulator would
+ * hold for any sum below 2^53.
+ */
 class Average
 {
   public:
     void
-    sample(double v)
+    sample(std::uint64_t v)
     {
-        if (TickLog *log = tickLog()) {
-            log->averageSample(this, v);
-            return;
-        }
-        sum_ += v;
-        ++count_;
+        const bool concurrent = concurrentUpdates();
+        detail::add(sum_, v, concurrent);
+        detail::add(count_, 1, concurrent);
     }
 
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    double sum() const { return sum_; }
+    double mean() const { return count_ ? sum() / count_ : 0.0; }
+    double sum() const { return static_cast<double>(sum_); }
     std::uint64_t count() const { return count_; }
 
     void
     reset()
     {
-        sum_ = 0.0;
+        sum_ = 0;
         count_ = 0;
     }
 
   private:
-    double sum_ = 0.0;
+    std::uint64_t sum_ = 0;
     std::uint64_t count_ = 0;
 };
 

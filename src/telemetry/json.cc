@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <sstream>
 
 #include "common/logging.hh"
 
@@ -120,6 +121,14 @@ JsonWriter::value(double v)
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.10g", v);
     os_ << buf;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::number(const std::string &token)
+{
+    separate();
+    os_ << token;
     return *this;
 }
 
@@ -301,15 +310,22 @@ class JsonParser
             v.type_ = JsonValue::Type::Null;
             return literal("null");
         }
-        // Number.
+        // Number. The token is kept, so a re-render stays exact; strtod
+        // alone would also take inf, nan and hex, which JSON has not.
+        const char *start = text_.c_str() + pos_;
         char *end = nullptr;
-        v.number_ = std::strtod(text_.c_str() + pos_, &end);
-        if (end == text_.c_str() + pos_) {
+        v.number_ = std::strtod(start, &end);
+        const auto len = static_cast<std::size_t>(end - start);
+        const bool decimal =
+            (c == '-' || std::isdigit(static_cast<unsigned char>(c))) &&
+            std::strspn(start, "0123456789+-.eE") >= len;
+        if (len == 0 || !decimal) {
             fail("expected value");
             return false;
         }
         v.type_ = JsonValue::Type::Number;
-        pos_ = static_cast<std::size_t>(end - text_.c_str());
+        v.string_.assign(start, len);
+        pos_ += len;
         return true;
     }
 
@@ -395,6 +411,48 @@ class JsonParser
     std::string *err_;
     std::size_t pos_ = 0;
 };
+
+void
+writeJsonValue(JsonWriter &w, const JsonValue &v)
+{
+    switch (v.type()) {
+    case JsonValue::Type::Null:
+        w.null();
+        break;
+    case JsonValue::Type::Bool:
+        w.value(v.asBool());
+        break;
+    case JsonValue::Type::Number:
+        w.number(v.numberToken());
+        break;
+    case JsonValue::Type::String:
+        w.value(v.asString());
+        break;
+    case JsonValue::Type::Array:
+        w.beginArray();
+        for (const JsonValue &e : v.elements())
+            writeJsonValue(w, e);
+        w.endArray();
+        break;
+    case JsonValue::Type::Object:
+        w.beginObject();
+        for (const auto &[k, m] : v.members()) {
+            w.key(k);
+            writeJsonValue(w, m);
+        }
+        w.endObject();
+        break;
+    }
+}
+
+std::string
+jsonValueToString(const JsonValue &v)
+{
+    std::ostringstream os;
+    JsonWriter w(os);
+    writeJsonValue(w, v);
+    return os.str();
+}
 
 std::size_t
 JsonValue::size() const

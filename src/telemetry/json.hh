@@ -6,8 +6,8 @@
  * and helpers serialising stats::Group and the interval time series.
  *
  * Deliberately not a general-purpose JSON library: no incremental
- * parsing, no number-precision guarantees beyond double, inputs are
- * trusted (our own output).
+ * parsing, numbers read as doubles (each keeps its source token, so a
+ * re-render is exact), inputs are trusted (our own output).
  */
 
 #ifndef STACKNOC_TELEMETRY_JSON_HH
@@ -57,6 +57,9 @@ class JsonWriter
     JsonWriter &value(bool v);
     JsonWriter &null();
 
+    /** Emit @p token, a JSON number literal, verbatim. */
+    JsonWriter &number(const std::string &token);
+
     /** key() + value() in one call. */
     template <typename T>
     JsonWriter &
@@ -91,6 +94,9 @@ class JsonValue
     double asDouble() const { return number_; }
     const std::string &asString() const { return string_; }
 
+    /** A number's source token, exact where asDouble() may round. */
+    const std::string &numberToken() const { return string_; }
+
     /** Array / object element count. */
     std::size_t size() const;
 
@@ -119,10 +125,15 @@ class JsonValue
     Type type_ = Type::Null;
     bool boolean_ = false;
     double number_ = 0.0;
-    std::string string_;
+    std::string string_; //!< string value, or a number's source token
     std::vector<JsonValue> array_;
     std::map<std::string, JsonValue> object_;
 };
+
+/** Render any parsed JsonValue back to compact JSON, each number as
+ *  its source token. */
+void writeJsonValue(JsonWriter &w, const JsonValue &v);
+std::string jsonValueToString(const JsonValue &v);
 
 /**
  * Serialise one statistics group as the value of the current key:

@@ -78,9 +78,9 @@ TraceLog::applyInOrder(TraceLog *const *logs, std::size_t n)
     panic_if(traceLog() != nullptr,
              "TraceLog::applyInOrder would re-defer into an installed log");
 
-    // K-way merge by component ordinal; see stats::TickLog::applyInOrder
-    // for the ordering argument (entries within one log are already in
-    // ascending-ordinal tick order, each ordinal lives in one log).
+    // K-way merge by component ordinal: each log is already in
+    // ascending-ordinal tick order and each ordinal lives in one log, so
+    // this is the order the sequential engine would have recorded in.
     std::vector<std::size_t> pos(n, 0);
     for (;;) {
         std::size_t best = n;

@@ -138,11 +138,11 @@ class CsvTraceSink : public TraceSink
 class PacketTracer;
 
 /**
- * A deferred trace-record log, the tracing counterpart of
- * stats::TickLog. The PacketTracer ring is a single shared buffer whose
- * contents (and overwrite order) must be bit-identical between the
- * sequential and sharded engines, so during a parallel compute phase
- * each worker thread installs a TraceLog via setTraceLog();
+ * A deferred trace-record log. The PacketTracer ring is a single shared
+ * buffer whose contents (and overwrite order) must be bit-identical
+ * between the sequential and sharded engines, and unlike stats, trace
+ * records do not commute. So while tracing, during a parallel compute
+ * phase each worker thread installs a TraceLog via setTraceLog();
  * PacketTracer::record then appends here, tagged with the ordinal of
  * the component currently ticking, and after the phase barrier the
  * engine merges all per-thread logs by ordinal and replays them

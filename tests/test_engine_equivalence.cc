@@ -2,8 +2,8 @@
  * @file
  * The execution engines' determinism contract: running the same system
  * with --threads {2,4,8} must be bit-identical to --threads 1 — every
- * counter, every double-precision average sum, every telemetry trace
- * record, in the same order — and the idle-elision engine must be
+ * counter, every average sum, every telemetry trace record, in the
+ * same order — and the idle-elision engine must be
  * bit-identical to the full --no-elide walk across the whole
  * {elide, no-elide} x {1,2,4,8} threads x seeds x {clean, faults}
  * cross product. Plus unit tests of the shard partition itself (every

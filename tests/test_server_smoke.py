@@ -141,6 +141,8 @@ def test_server_end_to_end():
         res = events_of(srv.client("run", *JOB, *big), "result")
         assert res and res[0]["data"]["stats_digest"] == \
             direct_digest(2000, *big), res
+        # The server re-renders the worker's result without rounding it.
+        assert res[0]["data"]["seed"] == 18364758544493064720, res
 
         # Submission-time validation fails fast with exit 1.
         bad = srv.client("run", "--scenario", "NOPE", expect_rc=1)

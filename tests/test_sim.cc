@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "sim/channel.hh"
 #include "sim/simulator.hh"
@@ -113,8 +116,8 @@ TEST(Stats, Average)
 {
     stats::Group g("g");
     auto &a = g.average("lat");
-    a.sample(10.0);
-    a.sample(20.0);
+    a.sample(10);
+    a.sample(20);
     EXPECT_DOUBLE_EQ(a.mean(), 15.0);
     EXPECT_EQ(a.count(), 2u);
 }
@@ -148,7 +151,7 @@ TEST(Stats, GroupDumpContainsNames)
 {
     stats::Group g("net");
     g.counter("flits").inc(2);
-    g.average("lat").sample(3.0);
+    g.average("lat").sample(3);
     std::ostringstream os;
     g.dump(os);
     const std::string s = os.str();
@@ -160,7 +163,7 @@ TEST(Stats, GroupReset)
 {
     stats::Group g("g");
     g.counter("c").inc(5);
-    g.average("a").sample(1.0);
+    g.average("a").sample(1);
     auto &d = g.distribution("d", {10});
     d.sample(3);
     g.reset();
@@ -178,6 +181,60 @@ TEST(Stats, DistributionWeightedSamples)
     EXPECT_EQ(d.binCount(0), 3u);
     EXPECT_EQ(d.binCount(1), 2u);
     EXPECT_DOUBLE_EQ(d.binFraction(0), 0.6);
+}
+
+TEST(Stats, ConcurrentUpdatesAreExact)
+{
+    // Four threads with concurrent updates on hammer one shared stat of
+    // each kind, as the sharded engine's workers do; every count, sum,
+    // bin and extreme must come out exact.
+    constexpr int kThreads = 4;
+    constexpr std::uint64_t kIters = 20000;
+    stats::Counter c;
+    stats::Average a;
+    stats::Distribution d({10, 100});
+    stats::Histogram h;
+
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            stats::setConcurrentUpdates(true);
+            for (std::uint64_t i = 0; i < kIters; ++i) {
+                const std::uint64_t v = t * kIters + i;
+                c.inc(2);
+                a.sample(v);
+                d.sample(v % 200);
+                h.sample(v, 1 + i % 2);
+            }
+            stats::setConcurrentUpdates(false);
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+
+    constexpr std::uint64_t n = kThreads * kIters;
+    const std::uint64_t sum = n * (n - 1) / 2; // 0 + 1 + ... + n-1
+    EXPECT_EQ(c.value(), 2 * n);
+    EXPECT_EQ(a.count(), n);
+    EXPECT_EQ(a.sum(), static_cast<double>(sum));
+    EXPECT_EQ(d.total(), n);
+    EXPECT_EQ(d.binCount(0), n / 200 * 10);
+    EXPECT_EQ(d.binCount(1), n / 200 * 90);
+    EXPECT_EQ(d.binCount(2), n / 200 * 100);
+
+    // Odd i carries weight 2, so the odd values count twice.
+    std::uint64_t odd_sum = 0;
+    for (std::uint64_t v = 1; v < n; v += 2)
+        odd_sum += v;
+    EXPECT_EQ(h.count(), n + n / 2);
+    EXPECT_EQ(h.sum(), sum + odd_sum);
+    EXPECT_EQ(h.minValue(), 0u);
+    EXPECT_EQ(h.maxValue(), n - 1);
+    std::uint64_t buckets = 0;
+    for (std::size_t i = 0; i < stats::Histogram::kNumBuckets; ++i)
+        buckets += h.bucketCount(i);
+    EXPECT_EQ(buckets, h.count());
+    EXPECT_EQ(h.bucketCount(1), 2u); // the value 1, weight 2
 }
 
 TEST(Stats, DistributionBadEdgesPanic)

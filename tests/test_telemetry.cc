@@ -291,12 +291,29 @@ TEST(Json, ParserBasics)
     EXPECT_FALSE(err.empty());
 }
 
+TEST(Json, NumbersRoundTripExactly)
+{
+    // Numbers past 2^53 or past %.10g's ten digits survive a parse and
+    // re-render unchanged (members re-render in key order); non-JSON
+    // number spellings do not parse.
+    const std::string text =
+        R"({"arr":[0,2.5,1E+300],"big":18364758544493064720,)"
+        R"("long":12345678901,"neg":-1.5e-7})";
+    auto v = JsonValue::parse(text);
+    ASSERT_TRUE(v.has_value());
+    EXPECT_EQ(v->find("big")->numberToken(), "18364758544493064720");
+    EXPECT_EQ(telemetry::jsonValueToString(*v), text);
+
+    for (const char *bad : {"inf", "-nan", "0x10", "+1", ".5"})
+        EXPECT_FALSE(JsonValue::parse(bad).has_value()) << bad;
+}
+
 TEST(Json, GroupRoundTrip)
 {
     stats::Group g("net");
     g.counter("pkts").inc(42);
-    g.average("lat").sample(10.0);
-    g.average("lat").sample(20.0);
+    g.average("lat").sample(10);
+    g.average("lat").sample(20);
     auto &h = g.histogram("lat_hist");
     for (int i = 0; i < 100; ++i)
         h.sample(static_cast<std::uint64_t>(i + 1));

@@ -405,7 +405,7 @@ loadResume(const std::string &path)
         if (ok && ok->type() == telemetry::JsonValue::Type::Bool &&
             ok->asBool() && digest && digest->isString())
             records[digest->asString()] =
-                server::jsonValueToString(r);
+                telemetry::jsonValueToString(r);
     }
     return records;
 }
@@ -688,7 +688,7 @@ main(int argc, char **argv)
     for (const auto &rec : resumedRecords) {
         std::string err;
         if (const auto v = telemetry::JsonValue::parse(rec, &err))
-            server::writeJsonValue(w, *v);
+            telemetry::writeJsonValue(w, *v);
     }
     for (const auto &r : results)
         if (r.job.tag == "grid")
