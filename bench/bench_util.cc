@@ -145,11 +145,6 @@ runOne(const system::Scenario &scenario,
     cfg.scenario = scenario;
     cfg.apps = apps;
     cfg.seed = e.seed;
-    // Energy numbers (Figure 8) come from the streaming EnergyProbe
-    // accumulation path; it reconciles with the end-of-run
-    // computeEnergy to below 1e-6 relative (test_power_thermal pins
-    // the two paths together).
-    cfg.power = true;
     if (mutate)
         mutate(cfg);
 
@@ -166,9 +161,9 @@ runOne(const system::Scenario &scenario,
     r.netLatency = r.metrics.avgNetworkLatency;
     r.queueLatency = r.metrics.avgBankQueueLatency;
     r.uncoreLatency = r.metrics.avgUncoreLatency;
-    r.energyUJ = sys.power() != nullptr
-                     ? sys.power()->totalUJ()
-                     : r.metrics.energy.totalUJ();
+    // Figure 8's energy is the end-of-run computeEnergy total on both
+    // paths: the server's total_energy_uj is the same number.
+    r.energyUJ = r.metrics.energy.totalUJ();
 
     if (const auto *gap =
             sys.cacheStats().findDistribution("gap_after_write")) {

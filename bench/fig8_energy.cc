@@ -4,10 +4,9 @@
  * scenarios, normalised to SRAM-64TSB. The paper's key result is the
  * ~54% average reduction from STT-RAM's low leakage.
  *
- * Energy is taken from the streaming EnergyProbe accumulation
- * (telemetry/power.hh) rather than the end-of-run scalar; the two
- * paths reconcile to below 1e-6 relative error, a bound enforced by
- * tests/test_power_thermal.cc so they can never drift apart.
+ * Energy is the end-of-run metrics().energy total (system::
+ * computeEnergy over the run's stats), so the table is the same
+ * in-process and through STTNOC_SERVER.
  */
 
 #include <cstdio>

@@ -61,35 +61,19 @@ CmpSystem::CmpSystem(const SystemConfig &config)
         hub_.add(heatmap_.get());
     }
     if (config_.power || config_.thermal) {
-        // Streaming energy accumulation over the same counters and
-        // constants computeEnergy() reads at end of run, so the two
-        // paths reconcile (tests pin the drift below 1e-6 relative).
-        const NocEnergyParams noc_energy{};
-        const mem::BankTechParams &bank_tech =
-            mem::bankTech(config_.scenario.tech);
-        telemetry::PowerParams pp;
-        pp.bankReadNJ = bank_tech.readEnergyNJ;
-        pp.bankWriteNJ = bank_tech.writeEnergyNJ;
-        pp.bankLeakageMW = bank_tech.leakagePowerMW;
-        pp.retryWriteNJ = noc_energy.retryWriteNJ;
-        pp.bufferWriteNJ = noc_energy.bufferWriteNJ;
-        pp.bufferReadNJ = noc_energy.bufferReadNJ;
-        pp.crossbarNJ = noc_energy.crossbarNJ;
-        pp.arbiterNJ = noc_energy.arbiterNJ;
-        pp.linkNJ = noc_energy.linkNJ;
-        pp.routerLeakageMW = noc_energy.routerLeakageMW;
-        pp.retransmitFlitNJ = noc_energy.retransmitFlitNJ;
-        pp.clockGHz = mem::kClockGHz;
-
+        // Streaming energy over per-component plain counters, priced
+        // by the same model computeEnergy() applies to the stats-group
+        // totals (tests pin the drift below 1e-6 relative).
         power_ = std::make_unique<telemetry::EnergyProbe>(
-            shape_.width(), shape_.height(), shape_.layers(), pp,
-            config_.powerPeriod, config_.powerMaxFrames);
+            shape_.width(), shape_.height(), shape_.layers(),
+            energyModel(config_.scenario.tech), config_.powerPeriod,
+            config_.powerMaxFrames);
         for (NodeId n = 0; n < shape_.totalNodes(); ++n) {
             const Coord c = shape_.coord(n);
             const noc::Router *router = &net_->router(n);
             const noc::NetworkInterface *ni = &net_->ni(n);
             power_->addRouter(c.x, c.y, c.layer, [router, ni] {
-                telemetry::RouterActivity a;
+                telemetry::EnergyEvents a;
                 a.flitsBuffered = router->flitsBufferedTotal();
                 a.flitsSwitched = router->flitsSwitchedTotal();
                 a.flitsRetransmitted = ni->flitsRetransmittedTotal();
@@ -103,9 +87,9 @@ CmpSystem::CmpSystem(const SystemConfig &config)
             power_->addBank(c.x, c.y, c.layer, [bank] {
                 const mem::BankController &ctrl =
                     bank->bankController();
-                telemetry::BankActivity a;
-                a.reads = ctrl.bank().readsTotal();
-                a.writes = ctrl.bank().writesTotal();
+                telemetry::EnergyEvents a;
+                a.bankReads = ctrl.bank().readsTotal();
+                a.bankWrites = ctrl.bank().writesTotal();
                 a.retryRounds = ctrl.retryRoundsTotal();
                 return a;
             });
@@ -433,7 +417,6 @@ CmpSystem::metrics() const
     m.energy = computeEnergy(cacheStats_, net_->stats(),
                              config_.scenario.tech, numBanks(),
                              shape_.totalNodes(), m.cycles,
-                             NocEnergyParams{},
                              faults_ ? &faults_->stats() : nullptr);
     return m;
 }
@@ -441,6 +424,8 @@ CmpSystem::metrics() const
 void
 CmpSystem::finalizeTelemetry()
 {
+    if (heatmap_)
+        heatmap_->finalize(sim_.now());
     if (power_)
         power_->finalize(sim_.now());
 }

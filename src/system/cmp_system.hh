@@ -252,10 +252,10 @@ class CmpSystem
     }
 
     /**
-     * Close the open partial interval of the streaming telemetry so
-     * its totals cover exactly the measured window. Call once after
-     * the final run() chunk, before exporting or reading power/thermal
-     * results; idempotent, no-op when the probes are off.
+     * Close the open partial interval of the heatmap and the streaming
+     * power/thermal telemetry so their frames cover exactly the
+     * measured window. Call once after the final run() chunk, before
+     * exporting or reading them; idempotent, no-op when they are off.
      */
     void finalizeTelemetry();
 

@@ -2,51 +2,40 @@
 
 namespace stacknoc::system {
 
+telemetry::EnergyModel
+energyModel(mem::CacheTech tech)
+{
+    const mem::BankTechParams &bank = mem::bankTech(tech);
+    telemetry::EnergyModel model;
+    model.bankReadNJ = bank.readEnergyNJ;
+    model.bankWriteNJ = bank.writeEnergyNJ;
+    model.bankLeakageMW = bank.leakagePowerMW;
+    model.clockGHz = mem::kClockGHz;
+    return model;
+}
+
 EnergyBreakdown
 computeEnergy(const stats::Group &cache_stats,
               const stats::Group &net_stats, mem::CacheTech tech,
               int num_banks, int num_routers, Cycle cycles,
-              const NocEnergyParams &noc_params,
               const stats::Group *fault_stats)
 {
-    const mem::BankTechParams &bank = mem::bankTech(tech);
-    const double seconds =
-        static_cast<double>(cycles) / (mem::kClockGHz * 1e9);
-
-    auto counter = [](const stats::Group &g, const char *statname) {
-        const stats::Counter *c = g.findCounter(statname);
-        return c ? static_cast<double>(c->value()) : 0.0;
+    auto counter = [](const stats::Group *g, const char *statname) {
+        const stats::Counter *c =
+            g != nullptr ? g->findCounter(statname) : nullptr;
+        return c != nullptr ? c->value() : 0;
     };
-
-    EnergyBreakdown e;
-    e.cacheDynamicUJ = (counter(cache_stats, "bank_reads") *
-                            bank.readEnergyNJ +
-                        counter(cache_stats, "bank_writes") *
-                            bank.writeEnergyNJ) *
-                       1e-3;
-    e.cacheLeakageUJ = bank.leakagePowerMW * 1e-3 * num_banks * seconds *
-                       1e6;
-
-    const double buffered = counter(net_stats, "flits_buffered");
-    const double switched = counter(net_stats, "flits_switched");
-    e.netDynamicUJ = (buffered * noc_params.bufferWriteNJ +
-                      switched * (noc_params.bufferReadNJ +
-                                  noc_params.crossbarNJ +
-                                  noc_params.arbiterNJ +
-                                  noc_params.linkNJ)) *
-                     1e-3;
-    e.netLeakageUJ = noc_params.routerLeakageMW * 1e-3 * num_routers *
-                     seconds * 1e6;
-
-    if (fault_stats != nullptr) {
-        e.retryWriteUJ = counter(*fault_stats,
-                                 "stt_write_retry_rounds") *
-                         noc_params.retryWriteNJ * 1e-3;
-        e.retransmitFlitUJ = counter(*fault_stats,
-                                     "link_flits_retransmitted") *
-                             noc_params.retransmitFlitNJ * 1e-3;
-    }
-    return e;
+    telemetry::EnergyEvents events;
+    events.bankReads = counter(&cache_stats, "bank_reads");
+    events.bankWrites = counter(&cache_stats, "bank_writes");
+    events.retryRounds = counter(fault_stats, "stt_write_retry_rounds");
+    events.flitsBuffered = counter(&net_stats, "flits_buffered");
+    events.flitsSwitched = counter(&net_stats, "flits_switched");
+    events.flitsRetransmitted =
+        counter(fault_stats, "link_flits_retransmitted");
+    return energyModel(tech).charge(
+        events, static_cast<std::uint64_t>(num_banks),
+        static_cast<std::uint64_t>(num_routers), cycles);
 }
 
 } // namespace stacknoc::system

@@ -1,7 +1,5 @@
 #include "system/heatmap.hh"
 
-#include <fstream>
-
 #include "common/logging.hh"
 #include "telemetry/json.hh"
 #include "noc/network.hh"
@@ -87,25 +85,26 @@ HeatmapCollector::sampleFrame(Cycle now)
 }
 
 void
+HeatmapCollector::closeFrame(Cycle end)
+{
+    Frame f = sampleFrame(end);
+    frameStart_ = end + 1;
+    // During warm-up the sample only keeps the deltas rolling, so the
+    // first measured frame doesn't absorb warm-up traffic.
+    if (inWarmup_)
+        return;
+    if (frames_.size() >= maxFrames_) {
+        ++framesDropped_;
+        return;
+    }
+    frames_.push_back(std::move(f));
+}
+
+void
 HeatmapCollector::onCycle(Cycle now)
 {
-    if (now - frameStart_ + 1 < period_)
-        return;
-    if (inWarmup_) {
-        // Keep the deltas rolling so the first measured frame doesn't
-        // absorb warm-up traffic, but retain nothing.
-        (void)sampleFrame(now);
-        frameStart_ = now + 1;
-        return;
-    }
-    if (frames_.size() >= maxFrames_) {
-        (void)sampleFrame(now);
-        ++framesDropped_;
-        frameStart_ = now + 1;
-        return;
-    }
-    frames_.push_back(sampleFrame(now));
-    frameStart_ = now + 1;
+    if (!finalized_ && now - frameStart_ + 1 >= period_)
+        closeFrame(now);
 }
 
 void
@@ -119,10 +118,22 @@ void
 HeatmapCollector::onReset(Cycle now)
 {
     inWarmup_ = false;
+    finalized_ = false;
     frames_.clear();
     framesDropped_ = 0;
     frameStart_ = now;
     captureBaseline();
+}
+
+void
+HeatmapCollector::finalize(Cycle now)
+{
+    if (finalized_ || inWarmup_)
+        return;
+    finalized_ = true;
+    // now == frameStart_: the last period boundary closed the window.
+    if (now > frameStart_)
+        closeFrame(now - 1);
 }
 
 bool
@@ -141,37 +152,11 @@ HeatmapCollector::writeFiles(const std::string &prefix) const
     };
 
     for (const Metric &m : kMetrics) {
-        std::ofstream os(prefix + "." + m.name + ".json");
-        if (!os)
+        if (!telemetry::writeGridFile(
+                prefix + "." + m.name + ".json", m.name, shape_.width(),
+                shape_.height(), shape_.layers(), period_,
+                framesDropped_, frames_, m.grids))
             return false;
-        telemetry::JsonWriter w(os);
-        w.beginObject();
-        w.kv("metric", m.name);
-        w.kv("width", shape_.width());
-        w.kv("height", shape_.height());
-        w.kv("layers", shape_.layers());
-        w.kv("period", static_cast<std::uint64_t>(period_));
-        w.kv("frames_dropped", framesDropped_);
-        w.key("frames");
-        w.beginArray();
-        for (const Frame &f : frames_) {
-            w.beginObject();
-            w.kv("start", static_cast<std::uint64_t>(f.start));
-            w.kv("end", static_cast<std::uint64_t>(f.end));
-            w.key("grids");
-            w.beginArray();
-            for (const auto &grid : f.*(m.grids)) {
-                w.beginArray();
-                for (const std::uint64_t v : grid)
-                    w.value(v);
-                w.endArray();
-            }
-            w.endArray();
-            w.endObject();
-        }
-        w.endArray();
-        w.endObject();
-        os << "\n";
     }
     return true;
 }

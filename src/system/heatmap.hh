@@ -76,6 +76,13 @@ class HeatmapCollector : public telemetry::Probe
     void onWarmupBegin(Cycle now) override;
     void onReset(Cycle now) override;
 
+    /**
+     * Close the open partial interval so the frames tile exactly the
+     * measured window. @p now is the simulator's current cycle (one
+     * past the last executed cycle). Idempotent.
+     */
+    void finalize(Cycle now);
+
     Cycle period() const { return period_; }
     const std::vector<Frame> &frames() const { return frames_; }
     std::uint64_t framesDropped() const { return framesDropped_; }
@@ -92,6 +99,7 @@ class HeatmapCollector : public telemetry::Probe
   private:
     void captureBaseline();
     Frame sampleFrame(Cycle now);
+    void closeFrame(Cycle end);
 
     const noc::Network &net_;
     const sttnoc::BankAwarePolicy *policy_;
@@ -101,6 +109,7 @@ class HeatmapCollector : public telemetry::Probe
     std::size_t maxFrames_;
 
     bool inWarmup_ = false;
+    bool finalized_ = false;
     Cycle frameStart_ = 0;
     /** Last-seen cumulative counters, for interval deltas. */
     std::vector<std::uint64_t> flitsBase_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <charconv>
-#include <cmath>
 #include <sstream>
 #include <utility>
 
@@ -100,16 +99,9 @@ put(JsonWriter &w, const T &v)
 {
     if constexpr (!std::is_same_v<T, typename Inner<T>::type>)
         put(w, *v);
-    else if constexpr (std::is_same_v<T, bool>)
-        w.value(v);
-    else if constexpr (std::is_integral_v<T>) {
-        // A JSON number past 2^53 may round in the reader; the argv
-        // spelling, which readJson also takes, is exact.
-        if (std::cmp_greater(v, std::uint64_t{1} << 53))
-            w.value(*show(v));
-        else
-            w.value(v); // int or std::uint64_t
-    } else if constexpr (std::is_same_v<T, std::vector<std::string>>) {
+    else if constexpr (std::is_integral_v<T>)
+        w.value(v); // bool, int or std::uint64_t, written exactly
+    else if constexpr (std::is_same_v<T, std::vector<std::string>>) {
         w.beginArray();
         for (const auto &item : v)
             w.value(item);
@@ -207,12 +199,12 @@ fieldOfFlag(const std::string &flag)
     return nullptr;
 }
 
-/** The argv text of JSON member @p v: a string as it is, a bool, an
- *  integral number, or a string array as a comma list. */
+/** The argv text of JSON member @p v: a string as it is, a bool, a
+ *  number as written (the field's parser judges it), or a string
+ *  array as a comma list. */
 std::string
 jsonText(const JsonValue &v, std::string &out)
 {
-    const double d = v.asDouble();
     std::vector<std::string> items;
     for (const JsonValue &e : v.elements())
         if (e.isString())
@@ -221,15 +213,12 @@ jsonText(const JsonValue &v, std::string &out)
         out = v.asString();
     else if (v.type() == JsonValue::Type::Bool)
         out = v.asBool() ? "true" : "false";
-    // JSON numbers are doubles: past 2^53 an integer may already be
-    // rounded, so refuse it rather than run a neighbouring experiment.
-    else if (v.isNumber() && d == std::floor(d) && std::fabs(d) <= 0x1p53)
-        out = std::to_string(static_cast<long long>(d));
+    else if (v.isNumber())
+        out = v.numberToken();
     else if (v.isArray() && items.size() == v.size())
         out = joinList(items);
     else
-        return "must be a string, bool, integer below 2^53 or string "
-               "array";
+        return "must be a string, bool, number or string array";
     return {};
 }
 

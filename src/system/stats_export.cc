@@ -12,6 +12,20 @@ namespace stacknoc::system {
 
 namespace {
 
+/** The members of an energy split, each key ending in @p suffix. */
+void
+writeEnergy(telemetry::JsonWriter &w, const EnergyBreakdown &e,
+            const std::string &suffix = "")
+{
+    w.kv("cache_dynamic" + suffix, e.cacheDynamicUJ);
+    w.kv("cache_leakage" + suffix, e.cacheLeakageUJ);
+    w.kv("net_dynamic" + suffix, e.netDynamicUJ);
+    w.kv("net_leakage" + suffix, e.netLeakageUJ);
+    w.kv("retry_write" + suffix, e.retryWriteUJ);
+    w.kv("retransmit_flit" + suffix, e.retransmitFlitUJ);
+    w.kv("total" + suffix, e.totalUJ());
+}
+
 void
 writeMetrics(telemetry::JsonWriter &w, const Metrics &m)
 {
@@ -29,36 +43,16 @@ writeMetrics(telemetry::JsonWriter &w, const Metrics &m)
     w.kv("avg_uncore_latency", m.avgUncoreLatency);
     w.key("energy_uj");
     w.beginObject();
-    w.kv("cache_dynamic", m.energy.cacheDynamicUJ);
-    w.kv("cache_leakage", m.energy.cacheLeakageUJ);
-    w.kv("net_dynamic", m.energy.netDynamicUJ);
-    w.kv("net_leakage", m.energy.netLeakageUJ);
-    w.kv("retry_write", m.energy.retryWriteUJ);
-    w.kv("retransmit_flit", m.energy.retransmitFlitUJ);
-    w.kv("total", m.energy.totalUJ());
+    writeEnergy(w, m.energy);
     w.endObject();
     w.endObject();
-}
-
-void
-writeGrids(telemetry::JsonWriter &w,
-           const std::vector<std::vector<double>> &grids)
-{
-    w.beginArray();
-    for (const auto &grid : grids) {
-        w.beginArray();
-        for (const double v : grid)
-            w.value(v);
-        w.endArray();
-    }
-    w.endArray();
 }
 
 void
 writePower(telemetry::JsonWriter &w, const CmpSystem &sys)
 {
     const telemetry::EnergyProbe &p = *sys.power();
-    const telemetry::PowerParams &pp = p.params();
+    const telemetry::EnergyModel &model = p.model();
 
     w.beginObject();
     w.kv("period", static_cast<std::uint64_t>(p.period()));
@@ -69,34 +63,28 @@ writePower(telemetry::JsonWriter &w, const CmpSystem &sys)
 
     w.key("params");
     w.beginObject();
-    w.kv("bank_read_nj", pp.bankReadNJ);
-    w.kv("bank_write_nj", pp.bankWriteNJ);
-    w.kv("bank_leakage_mw", pp.bankLeakageMW);
-    w.kv("retry_write_nj", pp.retryWriteNJ);
-    w.kv("buffer_write_nj", pp.bufferWriteNJ);
-    w.kv("buffer_read_nj", pp.bufferReadNJ);
-    w.kv("crossbar_nj", pp.crossbarNJ);
-    w.kv("arbiter_nj", pp.arbiterNJ);
-    w.kv("link_nj", pp.linkNJ);
-    w.kv("router_leakage_mw", pp.routerLeakageMW);
-    w.kv("retransmit_flit_nj", pp.retransmitFlitNJ);
+    w.kv("bank_read_nj", model.bankReadNJ);
+    w.kv("bank_write_nj", model.bankWriteNJ);
+    w.kv("bank_leakage_mw", model.bankLeakageMW);
+    w.kv("retry_write_nj", model.retryWriteNJ);
+    w.kv("buffer_write_nj", model.bufferWriteNJ);
+    w.kv("buffer_read_nj", model.bufferReadNJ);
+    w.kv("crossbar_nj", model.crossbarNJ);
+    w.kv("arbiter_nj", model.arbiterNJ);
+    w.kv("link_nj", model.linkNJ);
+    w.kv("router_leakage_mw", model.routerLeakageMW);
+    w.kv("retransmit_flit_nj", model.retransmitFlitNJ);
     w.endObject();
 
     w.key("totals_uj");
     w.beginObject();
-    w.kv("cache_dynamic", p.cacheDynamicUJ());
-    w.kv("cache_leakage", p.cacheLeakageUJ());
-    w.kv("net_dynamic", p.netDynamicUJ());
-    w.kv("net_leakage", p.netLeakageUJ());
-    w.kv("retry_write", p.retryWriteUJ());
-    w.kv("retransmit_flit", p.retransmitFlitUJ());
-    w.kv("total", p.totalUJ());
+    writeEnergy(w, p.totals());
     w.endObject();
 
     // The streaming sum against the end-of-run computeEnergy scalar;
     // the observability validator asserts rel_error stays below 1e-6.
     const double computed = sys.metrics().energy.totalUJ();
-    const double streamed = p.totalUJ();
+    const double streamed = p.totals().totalUJ();
     const double base = std::max(std::abs(computed), 1e-12);
     w.key("reconciliation");
     w.beginObject();
@@ -111,29 +99,14 @@ writePower(telemetry::JsonWriter &w, const CmpSystem &sys)
         w.beginObject();
         w.kv("start", static_cast<std::uint64_t>(f.start));
         w.kv("end", static_cast<std::uint64_t>(f.end));
-        w.kv("cache_dynamic_uj", f.cacheDynamicUJ);
-        w.kv("cache_leakage_uj", f.cacheLeakageUJ);
-        w.kv("net_dynamic_uj", f.netDynamicUJ);
-        w.kv("net_leakage_uj", f.netLeakageUJ);
-        w.kv("retry_write_uj", f.retryWriteUJ);
-        w.kv("retransmit_flit_uj", f.retransmitFlitUJ);
-        w.kv("total_uj", f.totalUJ());
+        writeEnergy(w, f.energy, "_uj");
         w.kv("total_w", f.totalW());
         w.endObject();
     }
     w.endArray();
 
     w.key("frames");
-    w.beginArray();
-    for (const telemetry::PowerFrame &f : p.frames()) {
-        w.beginObject();
-        w.kv("start", static_cast<std::uint64_t>(f.start));
-        w.kv("end", static_cast<std::uint64_t>(f.end));
-        w.key("grids");
-        writeGrids(w, f.powerW);
-        w.endObject();
-    }
-    w.endArray();
+    telemetry::writeGridFrames(w, p.frames(), &telemetry::PowerFrame::powerW);
     w.endObject();
 }
 
@@ -204,16 +177,7 @@ writeThermal(telemetry::JsonWriter &w, const CmpSystem &sys)
     w.endArray();
 
     w.key("frames");
-    w.beginArray();
-    for (const telemetry::ThermalFrame &f : t.frames()) {
-        w.beginObject();
-        w.kv("start", static_cast<std::uint64_t>(f.start));
-        w.kv("end", static_cast<std::uint64_t>(f.end));
-        w.key("grids");
-        writeGrids(w, f.tempC);
-        w.endObject();
-    }
-    w.endArray();
+    telemetry::writeGridFrames(w, t.frames(), &telemetry::ThermalFrame::tempC);
     w.endObject();
 }
 

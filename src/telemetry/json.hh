@@ -14,6 +14,7 @@
 #define STACKNOC_TELEMETRY_JSON_HH
 
 #include <cstdint>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <optional>
@@ -76,6 +77,67 @@ class JsonWriter
     std::vector<bool> firstInScope_{true}; //!< per nesting level
     bool pendingKey_ = false;
 };
+
+/**
+ * Write @p frames as the heatmap schema's frame array,
+ * [{"start", "end", "grids": [[...] per layer]}], each frame's grids
+ * ([layer][y * width + x]) read from its member @p grids.
+ */
+template <typename Frame, typename T>
+void
+writeGridFrames(JsonWriter &w, const std::vector<Frame> &frames,
+                const std::vector<std::vector<T>> Frame::*grids)
+{
+    w.beginArray();
+    for (const Frame &f : frames) {
+        w.beginObject();
+        w.kv("start", static_cast<std::uint64_t>(f.start));
+        w.kv("end", static_cast<std::uint64_t>(f.end));
+        w.key("grids");
+        w.beginArray();
+        for (const auto &grid : f.*grids) {
+            w.beginArray();
+            for (const T v : grid)
+                w.value(v);
+            w.endArray();
+        }
+        w.endArray();
+        w.endObject();
+    }
+    w.endArray();
+}
+
+/**
+ * Write one grid file renderable by tools/heatmap_render.py:
+ * {"metric", "width", "height", "layers", "period", "frames_dropped",
+ *  "frames": writeGridFrames(...)}. @return false when the file could
+ * not be opened.
+ */
+template <typename Frame, typename T>
+bool
+writeGridFile(const std::string &path, const char *metric, int width,
+              int height, int layers, std::uint64_t period,
+              std::uint64_t frames_dropped,
+              const std::vector<Frame> &frames,
+              const std::vector<std::vector<T>> Frame::*grids)
+{
+    std::ofstream os(path);
+    if (!os)
+        return false;
+    JsonWriter w(os);
+    w.beginObject();
+    w.kv("metric", metric);
+    w.kv("width", width);
+    w.kv("height", height);
+    w.kv("layers", layers);
+    w.kv("period", period);
+    w.kv("frames_dropped", frames_dropped);
+    w.key("frames");
+    writeGridFrames(w, frames, grids);
+    w.endObject();
+    os << "\n";
+    return true;
+}
 
 /** A parsed JSON document node. */
 class JsonValue

@@ -1,157 +1,147 @@
 #include "telemetry/power.hh"
 
-#include <fstream>
-
 #include "common/logging.hh"
 #include "telemetry/json.hh"
 
 namespace stacknoc::telemetry {
 
+EnergyBreakdown &
+EnergyBreakdown::operator+=(const EnergyBreakdown &o)
+{
+    cacheDynamicUJ += o.cacheDynamicUJ;
+    cacheLeakageUJ += o.cacheLeakageUJ;
+    netDynamicUJ += o.netDynamicUJ;
+    netLeakageUJ += o.netLeakageUJ;
+    retryWriteUJ += o.retryWriteUJ;
+    retransmitFlitUJ += o.retransmitFlitUJ;
+    return *this;
+}
+
+EnergyEvents
+EnergyEvents::operator-(const EnergyEvents &base) const
+{
+    return {bankReads - base.bankReads,
+            bankWrites - base.bankWrites,
+            retryRounds - base.retryRounds,
+            flitsBuffered - base.flitsBuffered,
+            flitsSwitched - base.flitsSwitched,
+            flitsRetransmitted - base.flitsRetransmitted};
+}
+
+double
+EnergyModel::seconds(Cycle cycles) const
+{
+    return static_cast<double>(cycles) / (clockGHz * 1e9);
+}
+
+EnergyBreakdown
+EnergyModel::charge(const EnergyEvents &events, std::uint64_t banks,
+                    std::uint64_t routers, Cycle cycles) const
+{
+    const auto n = [](std::uint64_t count) {
+        return static_cast<double>(count);
+    };
+    const double s = seconds(cycles);
+
+    EnergyBreakdown e;
+    e.cacheDynamicUJ = (n(events.bankReads) * bankReadNJ +
+                        n(events.bankWrites) * bankWriteNJ) *
+                       1e-3;
+    e.cacheLeakageUJ = bankLeakageMW * 1e-3 * n(banks) * s * 1e6;
+    e.netDynamicUJ = (n(events.flitsBuffered) * bufferWriteNJ +
+                      n(events.flitsSwitched) *
+                          (bufferReadNJ + crossbarNJ + arbiterNJ +
+                           linkNJ)) *
+                     1e-3;
+    e.netLeakageUJ = routerLeakageMW * 1e-3 * n(routers) * s * 1e6;
+    e.retryWriteUJ = n(events.retryRounds) * retryWriteNJ * 1e-3;
+    e.retransmitFlitUJ =
+        n(events.flitsRetransmitted) * retransmitFlitNJ * 1e-3;
+    return e;
+}
+
 EnergyProbe::EnergyProbe(int width, int height, int layers,
-                         const PowerParams &params, Cycle period,
+                         const EnergyModel &model, Cycle period,
                          std::size_t max_frames)
-    : width_(width), height_(height), layers_(layers), params_(params),
+    : width_(width), height_(height), layers_(layers), model_(model),
       period_(period), maxFrames_(max_frames)
 {
     panic_if(width_ < 1 || height_ < 1 || layers_ < 1,
              "bad power grid dimensions %dx%dx%d", width_, height_,
              layers_);
     panic_if(period_ < 1, "power sampling period must be >= 1");
-    panic_if(params_.clockGHz <= 0.0, "clockGHz must be positive");
+    panic_if(model_.clockGHz <= 0.0, "clockGHz must be positive");
 }
 
 void
-EnergyProbe::addRouter(int x, int y, int layer, RouterSampler sampler)
+EnergyProbe::addRouter(int x, int y, int layer, Sampler sampler)
+{
+    addSite(x, y, layer, false, std::move(sampler));
+}
+
+void
+EnergyProbe::addBank(int x, int y, int layer, Sampler sampler)
+{
+    addSite(x, y, layer, true, std::move(sampler));
+}
+
+void
+EnergyProbe::addSite(int x, int y, int layer, bool bank, Sampler sampler)
 {
     panic_if(x < 0 || x >= width_ || y < 0 || y >= height_ ||
                  layer < 0 || layer >= layers_,
-             "router site (%d,%d,%d) outside the grid", x, y, layer);
-    routers_.push_back({static_cast<std::size_t>(y * width_ + x), layer,
-                        std::move(sampler), RouterActivity{}});
-    routers_.back().base = routers_.back().sampler();
-}
-
-void
-EnergyProbe::addBank(int x, int y, int layer, BankSampler sampler)
-{
-    panic_if(x < 0 || x >= width_ || y < 0 || y >= height_ ||
-                 layer < 0 || layer >= layers_,
-             "bank site (%d,%d,%d) outside the grid", x, y, layer);
-    banks_.push_back({static_cast<std::size_t>(y * width_ + x), layer,
-                      std::move(sampler), BankActivity{}});
-    banks_.back().base = banks_.back().sampler();
-}
-
-void
-EnergyProbe::captureBaseline()
-{
-    for (RouterSite &site : routers_)
-        site.base = site.sampler();
-    for (BankSite &site : banks_)
-        site.base = site.sampler();
+             "%s site (%d,%d,%d) outside the grid",
+             bank ? "bank" : "router", x, y, layer);
+    const EnergyEvents base = sampler();
+    sites_.push_back({static_cast<std::size_t>(y * width_ + x), layer,
+                      bank ? 1u : 0u, bank ? 0u : 1u, std::move(sampler),
+                      base});
 }
 
 PowerFrame
 EnergyProbe::sampleFrame(Cycle now)
 {
     const auto cells = static_cast<std::size_t>(width_ * height_);
+    const Cycle cycles = now - frameStart_ + 1;
 
     PowerFrame f;
     f.start = frameStart_;
     f.end = now;
-    const double seconds = static_cast<double>(now - frameStart_ + 1) /
-                           (params_.clockGHz * 1e9);
-    f.spanSeconds = seconds;
+    f.spanSeconds = model_.seconds(cycles);
+    // Joules per cell; converted to watts at the end so every cell
+    // pays exactly one division.
     f.powerW.assign(static_cast<std::size_t>(layers_),
                     std::vector<double>(cells, 0.0));
 
-    // Joule-per-cell scratch; converted to watts at the end so every
-    // cell pays exactly one division.
-    const double routerLeakJ = params_.routerLeakageMW * 1e-3 * seconds;
-    const double bankLeakJ = params_.bankLeakageMW * 1e-3 * seconds;
-
-    for (RouterSite &site : routers_) {
-        const RouterActivity cur = site.sampler();
-        const double buffered =
-            static_cast<double>(cur.flitsBuffered -
-                                site.base.flitsBuffered);
-        const double switched =
-            static_cast<double>(cur.flitsSwitched -
-                                site.base.flitsSwitched);
-        const double retx =
-            static_cast<double>(cur.flitsRetransmitted -
-                                site.base.flitsRetransmitted);
+    for (Site &site : sites_) {
+        const EnergyEvents cur = site.sampler();
+        const EnergyBreakdown e =
+            model_.charge(cur - site.base, site.banks, site.routers,
+                          cycles);
         site.base = cur;
-
-        const double dynNJ =
-            buffered * params_.bufferWriteNJ +
-            switched * (params_.bufferReadNJ + params_.crossbarNJ +
-                        params_.arbiterNJ + params_.linkNJ);
-        const double retxNJ = retx * params_.retransmitFlitNJ;
-
-        f.netDynamicUJ += dynNJ * 1e-3;
-        f.netLeakageUJ += routerLeakJ * 1e6;
-        f.retransmitFlitUJ += retxNJ * 1e-3;
+        f.energy += e;
         f.powerW[static_cast<std::size_t>(site.layer)][site.cell] +=
-            (dynNJ + retxNJ) * 1e-9 + routerLeakJ;
+            e.totalUJ() * 1e-6;
     }
 
-    for (BankSite &site : banks_) {
-        const BankActivity cur = site.sampler();
-        const double reads =
-            static_cast<double>(cur.reads - site.base.reads);
-        const double writes =
-            static_cast<double>(cur.writes - site.base.writes);
-        const double retries =
-            static_cast<double>(cur.retryRounds -
-                                site.base.retryRounds);
-        site.base = cur;
-
-        const double dynNJ = reads * params_.bankReadNJ +
-                             writes * params_.bankWriteNJ;
-        const double retryNJ = retries * params_.retryWriteNJ;
-
-        f.cacheDynamicUJ += dynNJ * 1e-3;
-        f.cacheLeakageUJ += bankLeakJ * 1e6;
-        f.retryWriteUJ += retryNJ * 1e-3;
-        f.powerW[static_cast<std::size_t>(site.layer)][site.cell] +=
-            (dynNJ + retryNJ) * 1e-9 + bankLeakJ;
-    }
-
-    if (seconds > 0.0) {
+    if (f.spanSeconds > 0.0) {
         for (auto &grid : f.powerW)
             for (double &w : grid)
-                w /= seconds;
+                w /= f.spanSeconds;
     }
     return f;
 }
 
 void
-EnergyProbe::accumulate(const PowerFrame &f)
+EnergyProbe::closeFrame(Cycle end)
 {
-    cacheDynamicUJ_ += f.cacheDynamicUJ;
-    cacheLeakageUJ_ += f.cacheLeakageUJ;
-    netDynamicUJ_ += f.netDynamicUJ;
-    netLeakageUJ_ += f.netLeakageUJ;
-    retryWriteUJ_ += f.retryWriteUJ;
-    retransmitFlitUJ_ += f.retransmitFlitUJ;
-}
-
-void
-EnergyProbe::onCycle(Cycle now)
-{
-    if (finalized_ || now - frameStart_ + 1 < period_)
+    PowerFrame f = sampleFrame(end);
+    frameStart_ = end + 1;
+    // During warm-up the sample only keeps the delta bases rolling,
+    // so the first measured frame doesn't absorb warm-up traffic.
+    if (inWarmup_)
         return;
-    if (inWarmup_) {
-        // Keep the delta bases rolling so the first measured frame
-        // doesn't absorb warm-up traffic, but retain nothing.
-        (void)sampleFrame(now);
-        frameStart_ = now + 1;
-        return;
-    }
-    PowerFrame f = sampleFrame(now);
-    frameStart_ = now + 1;
-    accumulate(f);
+    totals_ += f.energy;
     if (sink_ != nullptr)
         sink_->onPowerFrame(f);
     if (frames_.size() >= maxFrames_) {
@@ -159,6 +149,13 @@ EnergyProbe::onCycle(Cycle now)
         return;
     }
     frames_.push_back(std::move(f));
+}
+
+void
+EnergyProbe::onCycle(Cycle now)
+{
+    if (!finalized_ && now - frameStart_ + 1 >= period_)
+        closeFrame(now);
 }
 
 void
@@ -176,13 +173,9 @@ EnergyProbe::onReset(Cycle now)
     frames_.clear();
     framesDropped_ = 0;
     frameStart_ = now;
-    captureBaseline();
-    cacheDynamicUJ_ = 0.0;
-    cacheLeakageUJ_ = 0.0;
-    netDynamicUJ_ = 0.0;
-    netLeakageUJ_ = 0.0;
-    retryWriteUJ_ = 0.0;
-    retransmitFlitUJ_ = 0.0;
+    for (Site &site : sites_)
+        site.base = site.sampler();
+    totals_ = EnergyBreakdown{};
     if (sink_ != nullptr)
         sink_->onPowerReset();
 }
@@ -193,55 +186,16 @@ EnergyProbe::finalize(Cycle now)
     if (finalized_ || inWarmup_)
         return;
     finalized_ = true;
-    if (now <= frameStart_)
-        return; // the last period boundary closed the window exactly
-    PowerFrame f = sampleFrame(now - 1);
-    frameStart_ = now;
-    accumulate(f);
-    if (sink_ != nullptr)
-        sink_->onPowerFrame(f);
-    if (frames_.size() >= maxFrames_) {
-        ++framesDropped_;
-        return;
-    }
-    frames_.push_back(std::move(f));
+    // now == frameStart_: the last period boundary closed the window.
+    if (now > frameStart_)
+        closeFrame(now - 1);
 }
 
 bool
 EnergyProbe::writeFile(const std::string &path) const
 {
-    std::ofstream os(path);
-    if (!os)
-        return false;
-    JsonWriter w(os);
-    w.beginObject();
-    w.kv("metric", "power");
-    w.kv("width", width_);
-    w.kv("height", height_);
-    w.kv("layers", layers_);
-    w.kv("period", static_cast<std::uint64_t>(period_));
-    w.kv("frames_dropped", framesDropped_);
-    w.key("frames");
-    w.beginArray();
-    for (const PowerFrame &f : frames_) {
-        w.beginObject();
-        w.kv("start", static_cast<std::uint64_t>(f.start));
-        w.kv("end", static_cast<std::uint64_t>(f.end));
-        w.key("grids");
-        w.beginArray();
-        for (const auto &grid : f.powerW) {
-            w.beginArray();
-            for (const double v : grid)
-                w.value(v);
-            w.endArray();
-        }
-        w.endArray();
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
-    os << "\n";
-    return true;
+    return writeGridFile(path, "power", width_, height_, layers_, period_,
+                         framesDropped_, frames_, &PowerFrame::powerW);
 }
 
 } // namespace stacknoc::telemetry

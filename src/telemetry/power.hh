@@ -1,18 +1,23 @@
 /**
  * @file
- * Streaming energy telemetry: the EnergyProbe turns the end-of-run
- * Figure 8 scalar (system/energy.hh::computeEnergy) into per-interval,
- * per-component accumulation and warm-up-safe spatial power grids.
+ * The uncore energy model of the paper's Figure 8 and its streaming
+ * probe.
+ *
+ * EnergyModel holds the event energies and leakage powers, and its
+ * one pricing function, charge(), turns a set of event counts over a
+ * span into an EnergyBreakdown of the six Figure 8 categories. It has
+ * two counter sources: system::computeEnergy prices the end-of-run
+ * stats-group totals, and the EnergyProbe prices per-component plain
+ * counters per interval.
  *
  * The probe knows nothing about routers or banks; the system registers
  * one sampler per component that returns its cumulative plain counters
  * (Router::flitsSwitchedTotal and friends — written only by the owning
  * tick, read here after the engine's phase barrier). Every sampling
- * period the probe takes counter deltas, converts them to joules with
- * the same event energies computeEnergy uses, and retains one frame of
- * [layer][y * width + x] power grids (watts) plus the interval's
- * energy split. Summed over frames (finalize() closes the partial
- * tail), the streaming categories reconcile with computeEnergy to
+ * period the probe charges each site's counter deltas and retains one
+ * frame: the interval's energy split plus [layer][y * width + x]
+ * power grids (watts). Summed over frames (finalize() closes the
+ * partial tail), the probe's totals reconcile with computeEnergy to
  * floating-point noise; tests pin the drift below 1e-6 relative.
  *
  * The probe is a strict cycle-end observer and follows the heatmap
@@ -36,46 +41,83 @@
 
 namespace stacknoc::telemetry {
 
-/**
- * Event energies (nJ) and leakage (mW) for streaming accumulation —
- * plain doubles so the telemetry layer needs neither the system's
- * NocEnergyParams nor the memory layer's Table 2; the system copies
- * the identical constants in when it wires the probe.
- */
-struct PowerParams
+/** Uncore energy split, in microjoules: the categories of Figure 8. */
+struct EnergyBreakdown
 {
-    // Per-bank (cache-layer) events.
+    double cacheDynamicUJ = 0.0;
+    double cacheLeakageUJ = 0.0;
+    double netDynamicUJ = 0.0;
+    double netLeakageUJ = 0.0;
+    double retryWriteUJ = 0.0;     //!< STT-RAM verify-retry overhead
+    double retransmitFlitUJ = 0.0; //!< CRC-failure retransmissions
+
+    double
+    totalUJ() const
+    {
+        return cacheDynamicUJ + cacheLeakageUJ + netDynamicUJ +
+               netLeakageUJ + retryWriteUJ + retransmitFlitUJ;
+    }
+
+    EnergyBreakdown &operator+=(const EnergyBreakdown &o);
+};
+
+/** Counts of the priced uncore events (cumulative, or a delta). */
+struct EnergyEvents
+{
+    std::uint64_t bankReads = 0;
+    std::uint64_t bankWrites = 0;  //!< includes re-run retry rounds
+    std::uint64_t retryRounds = 0; //!< failed-verify re-runs
+    std::uint64_t flitsBuffered = 0;
+    std::uint64_t flitsSwitched = 0;
+    std::uint64_t flitsRetransmitted = 0; //!< by the NIs
+
+    EnergyEvents operator-(const EnergyEvents &base) const;
+};
+
+/**
+ * The uncore energy model: per-event energies (nJ), per-component
+ * leakage (mW) and the clock that turns cycles into seconds. The
+ * router terms are Orion-style 32 nm constants at 3 GHz; the bank
+ * terms (Table 2, per L2 technology) and the clock are filled in by
+ * system::energyModel().
+ */
+struct EnergyModel
+{
+    // Per-bank (cache-layer) terms.
     double bankReadNJ = 0.0;
     double bankWriteNJ = 0.0;
     double bankLeakageMW = 0.0;
-    double retryWriteNJ = 0.0; //!< per failed-verify write round
 
-    // Per-router events.
-    double bufferWriteNJ = 0.0;
-    double bufferReadNJ = 0.0;
-    double crossbarNJ = 0.0;
-    double arbiterNJ = 0.0;
-    double linkNJ = 0.0;
-    double routerLeakageMW = 0.0;
-    double retransmitFlitNJ = 0.0; //!< per retransmitted flit
+    // Per-router terms.
+    double bufferWriteNJ = 0.012; //!< per flit buffered
+    double bufferReadNJ = 0.010;  //!< per flit read for traversal
+    double crossbarNJ = 0.015;    //!< per flit switched
+    double arbiterNJ = 0.001;     //!< per allocation
+    double linkNJ = 0.017;        //!< per flit-hop on a 128-bit link
+    double routerLeakageMW = 5.0; //!< per router
 
-    double clockGHz = 3.0; //!< cycle -> seconds conversion
-};
+    // Fault-path event energies. A failed STT-RAM write verify re-runs
+    // the write itself (already counted in bankWrites); retryWriteNJ
+    // is the *additional* verify-sense read and control overhead per
+    // retry round, sized like an STT-RAM array read (Table 2).
+    // retransmitFlitNJ charges the NACK plus the re-serialisation of
+    // one flit over the last-hop link; the retransmission is otherwise
+    // modelled as a pure latency penalty, so without this term fault
+    // recovery would look energy-free.
+    double retryWriteNJ = 0.4;       //!< per failed-verify write round
+    double retransmitFlitNJ = 0.055; //!< per retransmitted flit
 
-/** Cumulative activity counters of one router, sampled at cycle end. */
-struct RouterActivity
-{
-    std::uint64_t flitsBuffered = 0;
-    std::uint64_t flitsSwitched = 0;
-    std::uint64_t flitsRetransmitted = 0; //!< by the co-located NI
-};
+    double clockGHz = 0.0; //!< cycle -> seconds conversion
 
-/** Cumulative activity counters of one bank, sampled at cycle end. */
-struct BankActivity
-{
-    std::uint64_t reads = 0;
-    std::uint64_t writes = 0;      //!< includes re-run retry rounds
-    std::uint64_t retryRounds = 0; //!< failed-verify re-runs
+    /** Wall time of @p cycles cycles, seconds. */
+    double seconds(Cycle cycles) const;
+
+    /**
+     * Price @p events plus the leakage of @p banks banks and
+     * @p routers routers over @p cycles cycles.
+     */
+    EnergyBreakdown charge(const EnergyEvents &events, std::uint64_t banks,
+                           std::uint64_t routers, Cycle cycles) const;
 };
 
 /** One sampled interval of the EnergyProbe. */
@@ -87,29 +129,14 @@ struct PowerFrame
     /** Total (dynamic + leakage) power, watts, [layer][y*width+x]. */
     std::vector<std::vector<double>> powerW;
 
-    // Interval energy split, microjoules (same categories as
-    // system::EnergyBreakdown).
-    double cacheDynamicUJ = 0.0;
-    double cacheLeakageUJ = 0.0;
-    double netDynamicUJ = 0.0;
-    double netLeakageUJ = 0.0;
-    double retryWriteUJ = 0.0;
-    double retransmitFlitUJ = 0.0;
-
+    EnergyBreakdown energy;   //!< the interval's energy split
     double spanSeconds = 0.0; //!< wall time the interval spans
-
-    double
-    totalUJ() const
-    {
-        return cacheDynamicUJ + cacheLeakageUJ + netDynamicUJ +
-               netLeakageUJ + retryWriteUJ + retransmitFlitUJ;
-    }
 
     /** Mean total power over the interval, watts. */
     double
     totalW() const
     {
-        return spanSeconds > 0.0 ? totalUJ() * 1e-6 / spanSeconds
+        return spanSeconds > 0.0 ? energy.totalUJ() * 1e-6 / spanSeconds
                                  : 0.0;
     }
 };
@@ -128,25 +155,25 @@ class PowerFrameSink
 class EnergyProbe : public Probe
 {
   public:
-    using RouterSampler = std::function<RouterActivity()>;
-    using BankSampler = std::function<BankActivity()>;
+    /** Returns one component's cumulative event counters. */
+    using Sampler = std::function<EnergyEvents()>;
 
     /**
      * @param width, height, layers mesh geometry of the grids.
-     * @param params event energies (copy computeEnergy's constants).
+     * @param model the energy model computeEnergy prices with.
      * @param period sampling period in cycles (>= 1).
      * @param max_frames frame retention cap; totals keep accumulating
      *        and the sink keeps firing once it is reached.
      */
     EnergyProbe(int width, int height, int layers,
-                const PowerParams &params, Cycle period,
+                const EnergyModel &model, Cycle period,
                 std::size_t max_frames = std::size_t{1} << 14);
 
     /** Register a router (plus its NI) at grid cell (x, y, layer). */
-    void addRouter(int x, int y, int layer, RouterSampler sampler);
+    void addRouter(int x, int y, int layer, Sampler sampler);
 
     /** Register a bank at grid cell (x, y, layer). */
-    void addBank(int x, int y, int layer, BankSampler sampler);
+    void addBank(int x, int y, int layer, Sampler sampler);
 
     /** Attach the thermal solver (may be null; not owned). */
     void setSink(PowerFrameSink *sink) { sink_ = sink; }
@@ -167,24 +194,12 @@ class EnergyProbe : public Probe
     int width() const { return width_; }
     int height() const { return height_; }
     int layers() const { return layers_; }
-    const PowerParams &params() const { return params_; }
+    const EnergyModel &model() const { return model_; }
     const std::vector<PowerFrame> &frames() const { return frames_; }
     std::uint64_t framesDropped() const { return framesDropped_; }
 
-    // Streaming category totals since the last reset, microjoules.
-    double cacheDynamicUJ() const { return cacheDynamicUJ_; }
-    double cacheLeakageUJ() const { return cacheLeakageUJ_; }
-    double netDynamicUJ() const { return netDynamicUJ_; }
-    double netLeakageUJ() const { return netLeakageUJ_; }
-    double retryWriteUJ() const { return retryWriteUJ_; }
-    double retransmitFlitUJ() const { return retransmitFlitUJ_; }
-
-    double
-    totalUJ() const
-    {
-        return cacheDynamicUJ_ + cacheLeakageUJ_ + netDynamicUJ_ +
-               netLeakageUJ_ + retryWriteUJ_ + retransmitFlitUJ_;
-    }
+    /** Streaming totals since the last reset. */
+    const EnergyBreakdown &totals() const { return totals_; }
 
     /**
      * Write the retained power grids as one heatmap-schema JSON file
@@ -195,34 +210,28 @@ class EnergyProbe : public Probe
     bool writeFile(const std::string &path) const;
 
   private:
-    struct RouterSite
+    struct Site
     {
         std::size_t cell;
         int layer;
-        RouterSampler sampler;
-        RouterActivity base;
-    };
-    struct BankSite
-    {
-        std::size_t cell;
-        int layer;
-        BankSampler sampler;
-        BankActivity base;
+        std::uint64_t banks;   //!< 1 for a bank site
+        std::uint64_t routers; //!< 1 for a router site
+        Sampler sampler;
+        EnergyEvents base;
     };
 
-    void captureBaseline();
+    void addSite(int x, int y, int layer, bool bank, Sampler sampler);
     PowerFrame sampleFrame(Cycle now);
-    void accumulate(const PowerFrame &f);
+    void closeFrame(Cycle end);
 
     int width_;
     int height_;
     int layers_;
-    PowerParams params_;
+    EnergyModel model_;
     Cycle period_;
     std::size_t maxFrames_;
 
-    std::vector<RouterSite> routers_;
-    std::vector<BankSite> banks_;
+    std::vector<Site> sites_;
     PowerFrameSink *sink_ = nullptr;
 
     bool inWarmup_ = false;
@@ -231,13 +240,7 @@ class EnergyProbe : public Probe
 
     std::vector<PowerFrame> frames_;
     std::uint64_t framesDropped_ = 0;
-
-    double cacheDynamicUJ_ = 0.0;
-    double cacheLeakageUJ_ = 0.0;
-    double netDynamicUJ_ = 0.0;
-    double netLeakageUJ_ = 0.0;
-    double retryWriteUJ_ = 0.0;
-    double retransmitFlitUJ_ = 0.0;
+    EnergyBreakdown totals_;
 };
 
 } // namespace stacknoc::telemetry

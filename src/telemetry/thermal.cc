@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 
 #include "common/logging.hh"
 #include "telemetry/json.hh"
@@ -230,38 +229,9 @@ ThermalProbe::hotBanks(std::size_t count) const
 bool
 ThermalProbe::writeFile(const std::string &path, Cycle period) const
 {
-    std::ofstream os(path);
-    if (!os)
-        return false;
-    JsonWriter w(os);
-    w.beginObject();
-    w.kv("metric", "temperature");
-    w.kv("width", grid_.width());
-    w.kv("height", grid_.height());
-    w.kv("layers", grid_.layers());
-    w.kv("period", static_cast<std::uint64_t>(period));
-    w.kv("frames_dropped", framesDropped_);
-    w.key("frames");
-    w.beginArray();
-    for (const ThermalFrame &f : frames_) {
-        w.beginObject();
-        w.kv("start", static_cast<std::uint64_t>(f.start));
-        w.kv("end", static_cast<std::uint64_t>(f.end));
-        w.key("grids");
-        w.beginArray();
-        for (const auto &grid : f.tempC) {
-            w.beginArray();
-            for (const double v : grid)
-                w.value(v);
-            w.endArray();
-        }
-        w.endArray();
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
-    os << "\n";
-    return true;
+    return writeGridFile(path, "temperature", grid_.width(),
+                         grid_.height(), grid_.layers(), period,
+                         framesDropped_, frames_, &ThermalFrame::tempC);
 }
 
 } // namespace stacknoc::telemetry

@@ -18,6 +18,7 @@
 #include "fault/fault_spec.hh"
 #include "noc/packet.hh"
 #include "system/cmp_system.hh"
+#include "system/energy.hh"
 #include "system/scenario.hh"
 #include "telemetry/power.hh"
 #include "telemetry/thermal.hh"
@@ -132,6 +133,123 @@ TEST(ThermalSolver, LargeStepsAreSubsteppedStably)
     }
 }
 
+// ------------------------------------------- probe in isolation
+
+void
+expectSameEnergy(const telemetry::EnergyBreakdown &a,
+                 const telemetry::EnergyBreakdown &b)
+{
+    EXPECT_EQ(a.cacheDynamicUJ, b.cacheDynamicUJ);
+    EXPECT_EQ(a.cacheLeakageUJ, b.cacheLeakageUJ);
+    EXPECT_EQ(a.netDynamicUJ, b.netDynamicUJ);
+    EXPECT_EQ(a.netLeakageUJ, b.netLeakageUJ);
+    EXPECT_EQ(a.retryWriteUJ, b.retryWriteUJ);
+    EXPECT_EQ(a.retransmitFlitUJ, b.retransmitFlitUJ);
+}
+
+TEST(EnergyProbe, PricesScriptedSamplersThroughTheModel)
+{
+    const telemetry::EnergyModel model =
+        system::energyModel(mem::CacheTech::SttRam);
+    // One router on layer 0 and one bank on layer 1 of a 2x1 grid;
+    // the samplers return these scripted cumulative counters.
+    telemetry::EnergyEvents router, bank;
+    telemetry::EnergyProbe probe(2, 1, 2, model, 100);
+    probe.addRouter(0, 0, 0, [&] { return router; });
+    probe.addBank(1, 0, 1, [&] { return bank; });
+
+    // Warm-up activity, sampled in warm-up frames and after the last
+    // of them, must not be charged once onReset rebases the counters.
+    probe.onWarmupBegin(0);
+    router.flitsSwitched = 1000;
+    bank.bankWrites = 50;
+    for (Cycle c = 0; c < 250; ++c)
+        probe.onCycle(c);
+    router.flitsBuffered = 7;
+    bank.retryRounds = 3;
+    probe.onReset(250);
+    EXPECT_TRUE(probe.frames().empty());
+    EXPECT_EQ(probe.totals().totalUJ(), 0.0);
+
+    // Measured window [250, 410): a full frame [250, 349] and a
+    // 60-cycle tail [350, 409] that finalize() closes.
+    const telemetry::EnergyEvents r0 = router, b0 = bank;
+    router.flitsBuffered += 40;
+    router.flitsSwitched += 30;
+    router.flitsRetransmitted += 2;
+    bank.bankReads += 10;
+    bank.bankWrites += 4;
+    bank.retryRounds += 1;
+    for (Cycle c = 250; c < 350; ++c)
+        probe.onCycle(c);
+    const telemetry::EnergyEvents r1 = router, b1 = bank;
+    router.flitsSwitched += 5;
+    bank.bankReads += 3;
+    for (Cycle c = 350; c < 410; ++c)
+        probe.onCycle(c);
+    probe.finalize(410);
+    ASSERT_EQ(probe.frames().size(), 2u);
+
+    // Hand-priced first frame from the shipped constants: 100 cycles
+    // at 3 GHz; Orion-style router energies, Table 2 STT-RAM bank.
+    const double span = 100 / 3e9;
+    const telemetry::PowerFrame &f0 = probe.frames()[0];
+    EXPECT_EQ(f0.start, Cycle{250});
+    EXPECT_EQ(f0.end, Cycle{349});
+    EXPECT_DOUBLE_EQ(f0.spanSeconds, span);
+    EXPECT_NEAR(f0.energy.netDynamicUJ,
+                (40 * 0.012 + 30 * (0.010 + 0.015 + 0.001 + 0.017)) *
+                    1e-3,
+                1e-15);
+    EXPECT_NEAR(f0.energy.netLeakageUJ, 5.0e-3 * span * 1e6, 1e-15);
+    EXPECT_NEAR(f0.energy.retransmitFlitUJ, 2 * 0.055 * 1e-3, 1e-15);
+    EXPECT_NEAR(f0.energy.cacheDynamicUJ,
+                (10 * 0.278 + 4 * 0.765) * 1e-3, 1e-15);
+    EXPECT_NEAR(f0.energy.cacheLeakageUJ, 190.5e-3 * span * 1e6, 1e-15);
+    EXPECT_NEAR(f0.energy.retryWriteUJ, 1 * 0.4 * 1e-3, 1e-15);
+
+    // Every frame's split is exactly charge() of its deltas, and its
+    // cells hold each site's energy over the frame's span.
+    const telemetry::EnergyEvents ends[][2] = {{r1, b1}, {router, bank}};
+    telemetry::EnergyEvents rb = r0, bb = b0;
+    telemetry::EnergyBreakdown sum;
+    for (std::size_t i = 0; i < 2; ++i) {
+        const telemetry::PowerFrame &f = probe.frames()[i];
+        const Cycle cycles = f.end - f.start + 1;
+        const telemetry::EnergyBreakdown re =
+            model.charge(ends[i][0] - rb, 0, 1, cycles);
+        const telemetry::EnergyBreakdown be =
+            model.charge(ends[i][1] - bb, 1, 0, cycles);
+        telemetry::EnergyBreakdown expect = re;
+        expect += be;
+        expectSameEnergy(f.energy, expect);
+        sum += f.energy;
+        rb = ends[i][0];
+        bb = ends[i][1];
+
+        EXPECT_NEAR(f.powerW[0][0], re.totalUJ() * 1e-6 / f.spanSeconds,
+                    1e-12);
+        EXPECT_NEAR(f.powerW[1][1], be.totalUJ() * 1e-6 / f.spanSeconds,
+                    1e-12);
+        EXPECT_EQ(f.powerW[0][1], 0.0);
+        EXPECT_EQ(f.powerW[1][0], 0.0);
+        EXPECT_NEAR((f.powerW[0][0] + f.powerW[1][1]) * f.spanSeconds,
+                    f.energy.totalUJ() * 1e-6, 1e-18);
+    }
+    EXPECT_EQ(probe.frames()[1].start, Cycle{350});
+    EXPECT_EQ(probe.frames()[1].end, Cycle{409});
+    expectSameEnergy(probe.totals(), sum);
+
+    // finalize() is idempotent, and no frame follows it.
+    probe.finalize(410);
+    router.flitsSwitched += 100;
+    for (Cycle c = 410; c < 700; ++c)
+        probe.onCycle(c);
+    probe.finalize(700);
+    EXPECT_EQ(probe.frames().size(), 2u);
+    expectSameEnergy(probe.totals(), sum);
+}
+
 // --------------------------------------------- streaming energy
 
 system::SystemConfig
@@ -173,12 +291,12 @@ TEST(EnergyProbe, StreamingSumReconcilesWithComputeEnergy)
         const double base = std::max(std::abs(a), std::abs(b));
         return base > 0.0 ? std::abs(a - b) / base : 0.0;
     };
-    EXPECT_LT(rel(p.cacheDynamicUJ(), e.cacheDynamicUJ), 1e-6);
-    EXPECT_LT(rel(p.cacheLeakageUJ(), e.cacheLeakageUJ), 1e-6);
-    EXPECT_LT(rel(p.netDynamicUJ(), e.netDynamicUJ), 1e-6);
-    EXPECT_LT(rel(p.netLeakageUJ(), e.netLeakageUJ), 1e-6);
-    EXPECT_LT(rel(p.totalUJ(), e.totalUJ()), 1e-6);
-    EXPECT_GT(p.totalUJ(), 0.0);
+    EXPECT_LT(rel(p.totals().cacheDynamicUJ, e.cacheDynamicUJ), 1e-6);
+    EXPECT_LT(rel(p.totals().cacheLeakageUJ, e.cacheLeakageUJ), 1e-6);
+    EXPECT_LT(rel(p.totals().netDynamicUJ, e.netDynamicUJ), 1e-6);
+    EXPECT_LT(rel(p.totals().netLeakageUJ, e.netLeakageUJ), 1e-6);
+    EXPECT_LT(rel(p.totals().totalUJ(), e.totalUJ()), 1e-6);
+    EXPECT_GT(p.totals().totalUJ(), 0.0);
 
     // The retained frames tile the measured window: first frame
     // starts at warm-up end, spans are contiguous, and the per-frame
@@ -190,16 +308,16 @@ TEST(EnergyProbe, StreamingSumReconcilesWithComputeEnergy)
     for (const telemetry::PowerFrame &f : p.frames()) {
         EXPECT_EQ(f.start, expect_start);
         expect_start = f.end + 1;
-        frame_sum += f.totalUJ();
+        frame_sum += f.energy.totalUJ();
         ASSERT_EQ(f.powerW.size(), 2u);
         ASSERT_EQ(f.powerW[0].size(), 16u);
     }
     EXPECT_EQ(expect_start, Cycle{6000});
-    EXPECT_LT(rel(frame_sum, p.totalUJ()), 1e-9);
+    EXPECT_LT(rel(frame_sum, p.totals().totalUJ()), 1e-9);
 
     // finalize() is idempotent.
     sys.finalizeTelemetry();
-    EXPECT_LT(rel(p.totalUJ(), e.totalUJ()), 1e-6);
+    EXPECT_LT(rel(p.totals().totalUJ(), e.totalUJ()), 1e-6);
 }
 
 TEST(EnergyProbe, FaultyRunReportsStrictlyMoreEnergy)
@@ -230,13 +348,14 @@ TEST(EnergyProbe, FaultyRunReportsStrictlyMoreEnergy)
     faulty.finalizeTelemetry();
 
     // The fault campaign actually produced recovery work...
-    ASSERT_GT(faulty.power()->retryWriteUJ(), 0.0);
-    ASSERT_GT(faulty.power()->retransmitFlitUJ(), 0.0);
-    EXPECT_EQ(clean.power()->retryWriteUJ(), 0.0);
-    EXPECT_EQ(clean.power()->retransmitFlitUJ(), 0.0);
+    ASSERT_GT(faulty.power()->totals().retryWriteUJ, 0.0);
+    ASSERT_GT(faulty.power()->totals().retransmitFlitUJ, 0.0);
+    EXPECT_EQ(clean.power()->totals().retryWriteUJ, 0.0);
+    EXPECT_EQ(clean.power()->totals().retransmitFlitUJ, 0.0);
 
     // ...and both accounting paths price it in.
-    EXPECT_GT(faulty.power()->totalUJ(), clean.power()->totalUJ());
+    EXPECT_GT(faulty.power()->totals().totalUJ(),
+              clean.power()->totals().totalUJ());
     const system::EnergyBreakdown ef = faulty.metrics().energy;
     const system::EnergyBreakdown ec = clean.metrics().energy;
     EXPECT_GT(ef.retryWriteUJ, 0.0);
@@ -248,9 +367,10 @@ TEST(EnergyProbe, FaultyRunReportsStrictlyMoreEnergy)
     // retransmitted flits flow through per-site deltas on one side and
     // the fault-injector counters on the other).
     const double base = std::max(ef.totalUJ(),
-                                 faulty.power()->totalUJ());
-    EXPECT_LT(std::abs(faulty.power()->totalUJ() - ef.totalUJ()) / base,
-              1e-6);
+                                 faulty.power()->totals().totalUJ());
+    EXPECT_LT(
+        std::abs(faulty.power()->totals().totalUJ() - ef.totalUJ()) / base,
+        1e-6);
 }
 
 // One canonical dump of everything downstream consumers read, at full
@@ -261,9 +381,10 @@ telemetryDigest(const system::CmpSystem &sys)
     std::ostringstream os;
     os << std::hexfloat;
     const telemetry::EnergyProbe &p = *sys.power();
-    os << "totals " << p.cacheDynamicUJ() << ' ' << p.cacheLeakageUJ()
-       << ' ' << p.netDynamicUJ() << ' ' << p.netLeakageUJ() << ' '
-       << p.retryWriteUJ() << ' ' << p.retransmitFlitUJ() << '\n';
+    const telemetry::EnergyBreakdown &e = p.totals();
+    os << "totals " << e.cacheDynamicUJ << ' ' << e.cacheLeakageUJ << ' '
+       << e.netDynamicUJ << ' ' << e.netLeakageUJ << ' ' << e.retryWriteUJ
+       << ' ' << e.retransmitFlitUJ << '\n';
     for (const telemetry::PowerFrame &f : p.frames()) {
         os << "P " << f.start << ' ' << f.end;
         for (const auto &grid : f.powerW)

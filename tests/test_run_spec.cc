@@ -39,10 +39,10 @@ sampleSpecs()
     specs[3].threads = 4;
     specs[3].interval = 250;
     specs[3].faultSpec = "stt_write_ber=1e-3,tsb_flit_ber=1e-6";
-    specs[4].seed = (std::uint64_t{1} << 53) - 1; // widest exact JSON
+    specs[4].seed = (std::uint64_t{1} << 53) - 1; // widest exact double
     specs[4].warmup = 0;
     specs[4].cycles = 1;
-    // Past 2^53 a JSON number would round: writeJson sends the text.
+    // Past 2^53 a double would round; the number's token is exact.
     specs[5].seed = 18364758544493064720ull;
     return specs;
 }
@@ -138,10 +138,12 @@ TEST(RunSpec, GrammarErrorsNameTheField)
     EXPECT_NE(json(R"({"apps":[]})").find("apps"), std::string::npos);
     EXPECT_NE(json(R"({"elide":1})").find("elide"), std::string::npos);
     EXPECT_EQ(json(R"({"cmd":"run","id":3})"), "");
-    // JSON numbers are doubles; a seed they cannot hold exactly is
-    // refused, not rounded to a different experiment.
-    EXPECT_NE(json(R"({"seed":18364758544493064720})").find("seed"),
-              std::string::npos);
+    // A number is read as written, so a seed past 2^53 is exact.
+    RunSpec big;
+    ASSERT_EQ(big.readJson(*telemetry::JsonValue::parse(
+                  R"({"seed":18364758544493064720})")),
+              "");
+    EXPECT_EQ(big.seed, 18364758544493064720ull);
 }
 
 /** config_digest values recorded by the sweep before RunSpec existed

@@ -8,6 +8,7 @@
 
 #include "system/cmp_system.hh"
 #include "system/energy.hh"
+#include "system/heatmap.hh"
 #include "system/metrics.hh"
 #include "system/scenario.hh"
 
@@ -153,6 +154,36 @@ TEST(System, WarmupResetsMeasurement)
     const auto m = sys.metrics();
     EXPECT_EQ(m.cycles, 2000u);
     EXPECT_GT(m.meanIpc(), 0.0);
+}
+
+TEST(Heatmap, FramesSumToTheMeasuredWindow)
+{
+    // 5000 measured cycles are 26 periods of 192 plus an 8-cycle tail;
+    // finalizeTelemetry() must close the tail so --sum is the whole run.
+    system::SystemConfig cfg;
+    cfg.meshWidth = 4;
+    cfg.meshHeight = 4;
+    cfg.scenario = system::scenarios::sttram4TsbWb();
+    cfg.apps = {"tpcc"};
+    cfg.heatmapPeriod = 192;
+    system::CmpSystem sys(cfg);
+    sys.warmup(1000);
+    sys.run(5000);
+    sys.finalizeTelemetry();
+    sys.finalizeTelemetry(); // idempotent
+
+    const auto &frames = sys.heatmap()->frames();
+    ASSERT_EQ(frames.size(), 27u);
+    EXPECT_EQ(frames.front().start, Cycle{1000});
+    EXPECT_EQ(frames.back().end, Cycle{5999});
+    std::uint64_t flits = 0;
+    for (const auto &f : frames)
+        for (const auto &grid : f.flits)
+            for (const std::uint64_t v : grid)
+                flits += v;
+    EXPECT_EQ(flits,
+              sys.network().stats().counter("flits_switched").value());
+    EXPECT_GT(flits, 0u);
 }
 
 } // namespace

@@ -353,8 +353,9 @@ main(int argc, char **argv)
     if (auto *progress = sys.progress())
         progress->finish(sys.simulator().now());
 
-    // Close the streaming power/thermal window so totals reconcile
-    // with the end-of-run computeEnergy over exactly these cycles.
+    // Close the heatmap and power/thermal windows so they cover
+    // exactly these cycles (power totals then reconcile with the
+    // end-of-run computeEnergy).
     sys.finalizeTelemetry();
 
     if (tracer) {
