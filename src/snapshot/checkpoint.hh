@@ -14,10 +14,13 @@
  *     44      ...   StateIO payload
  *
  * Version policy: the format version bumps on ANY change to the payload
- * encoding (field added/removed/reordered anywhere in StateIO) or to
- * the warm-config canonicalisation. Readers reject other versions with
- * a one-line reason rather than attempting migration — checkpoints are
- * warm-state caches, always re-creatable from the scenario and seed.
+ * encoding (a field added, removed, re-sized or reordered in any
+ * component's StateIO::io, which both saving and loading run) or to the
+ * warm-config canonicalisation. Snapshot.PayloadBytesArePinned fails on
+ * such a change until the version is bumped and its values re-recorded.
+ * Readers reject other versions with a one-line reason rather than
+ * attempting migration — checkpoints are warm-state caches, always
+ * re-creatable from the scenario and seed.
  */
 
 #ifndef STACKNOC_SNAPSHOT_CHECKPOINT_HH

@@ -1,6 +1,6 @@
 /**
  * @file
- * Cross-reference tables shared by every component's save/load pass.
+ * Cross-reference table shared by every component's io() in one pass.
  *
  * Two kinds of state are aliased between components and must keep their
  * sharing structure across a checkpoint round trip:
@@ -14,6 +14,10 @@
  *  - std::shared_ptr<bool> completion flags: a Core ROB entry and the
  *    L1 MSHR that will complete it point at the same bool (and
  *    lastMemDone_ may alias it again). Same first-encounter scheme.
+ *
+ * Both directions run the same code: Refs::packet(ar, pkt) writes or
+ * reads a pointer depending on the archive, and the Packet field list
+ * below is the only one.
  */
 
 #ifndef STACKNOC_SNAPSHOT_CONTEXT_HH
@@ -21,6 +25,7 @@
 
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "noc/packet.hh"
@@ -34,139 +39,92 @@ constexpr std::uint8_t kNew = 1;  //!< body follows; assign next index
 constexpr std::uint8_t kRef = 2;  //!< u32 index of an earlier kNew
 } // namespace tag
 
-/** Save-side tables. One per checkpoint save pass. */
-class SaveCtx
+/** The shared-pointer tables of one save or load pass. */
+class Refs
 {
   public:
+    template <class Ar, class P>
     void
-    putPacket(Saver &s, const noc::PacketPtr &pkt)
+    packet(Ar &ar, P &pkt)
     {
-        if (!pkt) {
-            s.u8(tag::kNull);
-            return;
-        }
-        const auto it = packets_.find(pkt.get());
-        if (it != packets_.end()) {
-            s.u8(tag::kRef);
-            s.u32(it->second);
-            return;
-        }
-        packets_.emplace(pkt.get(),
-                         static_cast<std::uint32_t>(packets_.size()));
-        s.u8(tag::kNew);
-        const noc::Packet &p = *pkt;
-        s.u64(p.id);
-        s.u8(static_cast<std::uint8_t>(p.cls));
-        s.i32(p.src);
-        s.i32(p.dest);
-        s.i32(p.numFlits);
-        s.u64(p.addr);
-        s.i32(p.destBank);
-        s.u8(p.info.kind);
-        s.u8(p.info.flags);
-        s.u16(p.info.aux);
-        s.u32(p.info.origin);
-        s.u64(p.createdAt);
-        s.u64(p.injectedAt);
-        s.u64(p.ejectedAt);
-        s.i16(p.probeStamp);
-        s.i32(p.probeParent);
-        s.u64(p.firstHeldAt);
+        shared(ar, pkt, packets_, "packet", [&ar](noc::Packet &p) {
+            ar.u64(p.id);
+            ar.u8(p.cls);
+            ar.u32(p.src);
+            ar.u32(p.dest);
+            ar.u32(p.numFlits);
+            ar.u64(p.addr);
+            ar.u32(p.destBank);
+            ar.u8(p.info.kind);
+            ar.u8(p.info.flags);
+            ar.u16(p.info.aux);
+            ar.u32(p.info.origin);
+            ar.u64(p.createdAt);
+            ar.u64(p.injectedAt);
+            ar.u64(p.ejectedAt);
+            ar.u16(p.probeStamp);
+            ar.u32(p.probeParent);
+            ar.u64(p.firstHeldAt);
+        });
     }
 
+    template <class Ar, class P>
     void
-    putFlag(Saver &s, const std::shared_ptr<bool> &flag)
+    flag(Ar &ar, P &flag)
     {
-        if (!flag) {
-            s.u8(tag::kNull);
-            return;
-        }
-        const auto it = flags_.find(flag.get());
-        if (it != flags_.end()) {
-            s.u8(tag::kRef);
-            s.u32(it->second);
-            return;
-        }
-        flags_.emplace(flag.get(),
-                       static_cast<std::uint32_t>(flags_.size()));
-        s.u8(tag::kNew);
-        s.b(*flag);
+        shared(ar, flag, flags_, "flag", [&ar](bool &v) { ar.b(v); });
     }
 
   private:
-    std::map<const noc::Packet *, std::uint32_t> packets_;
-    std::map<const bool *, std::uint32_t> flags_;
-};
-
-/** Load-side tables, mirroring SaveCtx. */
-class LoadCtx
-{
-  public:
-    noc::PacketPtr
-    getPacket(Loader &l)
+    /** Save side: pointee -> index. Load side: index -> pointer. */
+    template <class T>
+    struct Table
     {
-        switch (l.u8()) {
+        std::map<const T *, std::uint32_t> ids;
+        std::vector<std::shared_ptr<T>> seen;
+    };
+
+    template <class Ar, class P, class T, class Body>
+    static void
+    shared(Ar &ar, P &ptr, Table<T> &table, const char *what, Body body)
+    {
+        std::uint8_t kind = tag::kNull;
+        std::uint32_t idx = 0;
+        if constexpr (!Ar::loading) {
+            if (ptr) {
+                const auto [it, fresh] = table.ids.try_emplace(
+                    ptr.get(), static_cast<std::uint32_t>(table.ids.size()));
+                kind = fresh ? tag::kNew : tag::kRef;
+                idx = it->second;
+            }
+        }
+        ar.u8(kind);
+        switch (kind) {
           case tag::kNull:
-            return nullptr;
-          case tag::kRef: {
-            const std::uint32_t idx = l.u32();
-            if (idx >= packets_.size())
-                throw SnapshotError("bad packet back-reference");
-            return packets_[idx];
-          }
-          case tag::kNew: {
-            auto pkt = std::make_shared<noc::Packet>();
-            noc::Packet &p = *pkt;
-            p.id = l.u64();
-            p.cls = static_cast<noc::PacketClass>(l.u8());
-            p.src = l.i32();
-            p.dest = l.i32();
-            p.numFlits = l.i32();
-            p.addr = l.u64();
-            p.destBank = l.i32();
-            p.info.kind = l.u8();
-            p.info.flags = l.u8();
-            p.info.aux = l.u16();
-            p.info.origin = l.u32();
-            p.createdAt = l.u64();
-            p.injectedAt = l.u64();
-            p.ejectedAt = l.u64();
-            p.probeStamp = l.i16();
-            p.probeParent = l.i32();
-            p.firstHeldAt = l.u64();
-            packets_.push_back(pkt);
-            return pkt;
-          }
+            if constexpr (Ar::loading)
+                ptr = nullptr;
+            return;
+          case tag::kRef:
+            ar.u32(idx);
+            if constexpr (Ar::loading) {
+                if (idx >= table.seen.size())
+                    throw SnapshotError(std::string("bad ") + what
+                                        + " back-reference");
+                ptr = table.seen[idx];
+            }
+            return;
+          case tag::kNew:
+            if constexpr (Ar::loading)
+                table.seen.push_back(ptr = std::make_shared<T>());
+            body(*ptr);
+            return;
           default:
-            throw SnapshotError("bad packet tag");
+            throw SnapshotError(std::string("bad ") + what + " tag");
         }
     }
 
-    std::shared_ptr<bool>
-    getFlag(Loader &l)
-    {
-        switch (l.u8()) {
-          case tag::kNull:
-            return nullptr;
-          case tag::kRef: {
-            const std::uint32_t idx = l.u32();
-            if (idx >= flags_.size())
-                throw SnapshotError("bad flag back-reference");
-            return flags_[idx];
-          }
-          case tag::kNew: {
-            auto flag = std::make_shared<bool>(l.b());
-            flags_.push_back(flag);
-            return flag;
-          }
-          default:
-            throw SnapshotError("bad flag tag");
-        }
-    }
-
-  private:
-    std::vector<noc::PacketPtr> packets_;
-    std::vector<std::shared_ptr<bool>> flags_;
+    Table<noc::Packet> packets_;
+    Table<bool> flags_;
 };
 
 } // namespace stacknoc::snapshot

@@ -18,6 +18,13 @@
  * serialised: at the warm boundary all stats are zero and the probes
  * re-baseline from the restored plain counters via ProbeHub::onReset.
  *
+ * Each component has one io() that names its fields once. A Saver
+ * runs it to write and a Loader to read, so the two directions cannot
+ * drift apart; the few genuinely one-sided steps (refusing
+ * non-serialisable state, re-binding a bank completion, rebuilding the
+ * router's derived masks, mapping the engine flags) sit under
+ * `if constexpr (Ar::loading)` or its negation.
+ *
  * Systems running with validation enabled cannot be checkpointed or
  * restored (the validation hub's census state is not serialised).
  */
@@ -25,7 +32,10 @@
 #ifndef STACKNOC_SNAPSHOT_STATE_IO_HH
 #define STACKNOC_SNAPSHOT_STATE_IO_HH
 
+#include <concepts>
+#include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 #include "snapshot/serialize.hh"
 
@@ -70,12 +80,17 @@ namespace stacknoc::fault {
 class FaultInjector;
 } // namespace stacknoc::fault
 
+namespace stacknoc::engine {
+class ExecutionEngine;
+} // namespace stacknoc::engine
+
 namespace stacknoc::snapshot {
 
-class SaveCtx;
-class LoadCtx;
-class Loader;
-class Saver;
+class Refs;
+
+/** @p T is @p U, or const @p U on the save pass. */
+template <class T, class U>
+concept Of = std::same_as<std::remove_const_t<T>, U>;
 
 /**
  * The single (friended) entry point for component state serialisation.
@@ -104,45 +119,42 @@ class StateIO
     static std::uint64_t digest(const system::CmpSystem &sys);
 
   private:
-    // Per-component passes. Private static members (not file-local
-    // helpers) because friendship does not transfer to free functions.
-    static void saveStream(Saver &s, const workload::SyntheticStream &st);
-    static void loadStream(Loader &l, workload::SyntheticStream &st);
-    static void saveCore(Saver &s, SaveCtx &ctx, const cpu::Core &core);
-    static void loadCore(Loader &l, LoadCtx &ctx, cpu::Core &core);
-    static void saveL1(Saver &s, SaveCtx &ctx,
-                       const coherence::L1Cache &l1);
-    static void loadL1(Loader &l, LoadCtx &ctx, coherence::L1Cache &l1);
-    static void saveBank(Saver &s, SaveCtx &ctx,
-                         const coherence::L2Bank &bank);
-    static void loadBank(Loader &l, LoadCtx &ctx,
-                         coherence::L2Bank &bank);
-    static void saveBankCtrl(Saver &s, const mem::BankController &ctrl);
-    static void loadBankCtrl(Loader &l, mem::BankController &ctrl,
-                             coherence::L2Bank &owner);
-    static void saveMc(Saver &s, SaveCtx &ctx,
-                       const mem::MemoryController &mc);
-    static void loadMc(Loader &l, LoadCtx &ctx,
-                       mem::MemoryController &mc);
-    static void saveRouter(Saver &s, SaveCtx &ctx,
-                           const noc::Router &r);
-    static void loadRouter(Loader &l, LoadCtx &ctx, noc::Router &r);
-    static void saveNi(Saver &s, SaveCtx &ctx,
-                       const noc::NetworkInterface &ni);
-    static void loadNi(Loader &l, LoadCtx &ctx,
-                       noc::NetworkInterface &ni);
-    static void saveLink(Saver &s, SaveCtx &ctx, const noc::Link &link);
-    static void loadLink(Loader &l, LoadCtx &ctx, noc::Link &link);
-    static void saveTags(Saver &s, const cache::TagArray &tags);
-    static void loadTags(Loader &l, cache::TagArray &tags);
-    static void savePolicy(Saver &s, const sttnoc::BankAwarePolicy &p);
-    static void loadPolicy(Loader &l, sttnoc::BankAwarePolicy &p);
-    static void saveFabric(Saver &s, const sttnoc::RcaFabric &f);
-    static void loadFabric(Loader &l, sttnoc::RcaFabric &f);
-    static void saveFaults(Saver &s, const fault::FaultInjector &fi);
-    static void loadFaults(Loader &l, fault::FaultInjector &fi);
-    static void saveEngine(Saver &s, const system::CmpSystem &sys);
-    static void loadEngine(Loader &l, system::CmpSystem &sys);
+    // One io() per component: its field list, written once and run by
+    // a Saver (T may be const) or a Loader. Private static members (not
+    // file-local helpers) because friendship does not transfer to free
+    // functions. Parts holding shared packets or completion flags also
+    // take the pass's Refs table.
+    template <class Ar, Of<system::CmpSystem> T>
+    static void io(Ar &ar, T &sys);
+    template <class Ar, Of<workload::SyntheticStream> T>
+    static void io(Ar &ar, T &st);
+    template <class Ar, Of<cpu::Core> T>
+    static void io(Ar &ar, Refs &refs, T &core);
+    template <class Ar, Of<coherence::L1Cache> T>
+    static void io(Ar &ar, Refs &refs, T &l1);
+    template <class Ar, Of<coherence::L2Bank> T>
+    static void io(Ar &ar, Refs &refs, T &bank);
+    template <class Ar, Of<mem::BankController> T, class Owner>
+    static void io(Ar &ar, T &ctrl, Owner &owner);
+    template <class Ar, Of<mem::MemoryController> T>
+    static void io(Ar &ar, Refs &refs, T &mc);
+    template <class Ar, Of<cache::TagArray> T>
+    static void io(Ar &ar, T &tags);
+    template <class Ar, Of<noc::Link> T>
+    static void io(Ar &ar, Refs &refs, T &link);
+    template <class Ar, Of<noc::Router> T>
+    static void io(Ar &ar, Refs &refs, T &r);
+    template <class Ar, Of<noc::NetworkInterface> T>
+    static void io(Ar &ar, Refs &refs, T &ni);
+    template <class Ar, Of<sttnoc::BankAwarePolicy> T>
+    static void io(Ar &ar, T &p);
+    template <class Ar, Of<sttnoc::RcaFabric> T>
+    static void io(Ar &ar, T &f);
+    template <class Ar, Of<fault::FaultInjector> T>
+    static void io(Ar &ar, T &fi);
+    template <class Ar>
+    static void io(Ar &ar, engine::ExecutionEngine &eng,
+                   std::size_t components);
 };
 
 /**

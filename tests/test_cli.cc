@@ -18,11 +18,11 @@
 namespace stacknoc {
 namespace {
 
-/** Run the CLI (relative to the test binary's build directory). */
+/** Run a tool (relative to the test binary's build directory). */
 int
-runCli(const std::string &args, std::string *out)
+runTool(const std::string &tool, const std::string &args, std::string *out)
 {
-    const std::string cmd = "../tools/stacknoc_run " + args + " 2>&1";
+    const std::string cmd = "../tools/" + tool + " " + args + " 2>&1";
     std::FILE *p = ::popen(cmd.c_str(), "r");
     if (!p)
         return -1;
@@ -31,6 +31,12 @@ runCli(const std::string &args, std::string *out)
     while (std::fgets(buf.data(), buf.size(), p))
         *out += buf.data();
     return ::pclose(p);
+}
+
+int
+runCli(const std::string &args, std::string *out)
+{
+    return runTool("stacknoc_run", args, out);
 }
 
 TEST(Cli, ListAppsPrintsFortyTwo)
@@ -164,6 +170,41 @@ TEST(Cli, UnhonourableSpecExitsTwoWithOneLine)
         EXPECT_EQ(out.find('\n'), out.size() - 1)
             << args << ": want one line, got: " << out;
         EXPECT_EQ(out.find("fatal"), std::string::npos) << out;
+    }
+}
+
+/** stacknoc_serve reads its integer flags whole and in range: a
+ *  malformed value exits 2 with one line naming the flag. Every case is
+ *  rejected before the socket is bound, so none can leave a server
+ *  running. */
+TEST(Cli, ServeMalformedIntegerFlagExitsTwoWithOneLine)
+{
+    const std::pair<const char *, const char *> cases[] = {
+        {"--workers 0", "--workers"},
+        {"--workers 2x", "--workers"},
+        {"--http abc", "--http"},
+        {"--http -7", "--http"},
+        {"--http 65536", "--http"},
+        {"--max-queue abc", "--max-queue"},
+        {"--max-queue -1", "--max-queue"},
+        {"--job-retries -1", "--job-retries"},
+        {"--job-backoff-ms 1.5", "--job-backoff-ms"},
+        {"--job-deadline-sec 99999999999", "--job-deadline-sec"},
+        {"--ckpt-cap-bytes 1G", "--ckpt-cap-bytes"},
+        {"--ckpt-cap-bytes -1", "--ckpt-cap-bytes"},
+        {"--log-rotate-bytes ''", "--log-rotate-bytes"},
+        {"--chaos-seed 0x10", "--chaos-seed"},
+    };
+    for (const auto &[args, flag] : cases) {
+        std::string out;
+        const int rc = runTool(
+            "stacknoc_serve",
+            std::string("--socket never-bound.sock ") + args, &out);
+        ASSERT_TRUE(WIFEXITED(rc)) << args;
+        EXPECT_EQ(WEXITSTATUS(rc), 2) << args << ": " << out;
+        EXPECT_NE(out.find(flag), std::string::npos) << args << ": " << out;
+        EXPECT_EQ(out.find('\n'), out.size() - 1)
+            << args << ": want one line, got: " << out;
     }
 }
 

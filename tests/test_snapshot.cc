@@ -4,9 +4,12 @@
  * checkpoint must produce stats bit-identical to the uninterrupted run,
  * at any --threads and with elision on or off, for clean and faulty
  * configurations — across the {seeds} x {1,4 threads} x {elide,
- * no-elide} x {clean, faults} cross product. Plus rejection tests:
- * corruption, truncation, version and warm-config mismatches must fail
- * with a one-line reason, never a crash or a silently wrong run.
+ * no-elide} x {clean, faults} cross product, and for every named
+ * scenario. The payload bytes of three configurations are pinned, so a
+ * change to the transfer code that moves one byte fails here. Plus
+ * rejection tests: corruption, truncation, version and warm-config
+ * mismatches must fail with a one-line reason, never a crash or a
+ * silently wrong run.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +24,7 @@
 #include "snapshot/checkpoint.hh"
 #include "snapshot/state_io.hh"
 #include "system/cmp_system.hh"
+#include "system/scenario.hh"
 
 using namespace stacknoc;
 
@@ -126,6 +130,64 @@ TEST(Snapshot, RoundTripBitIdentityMatrix)
     }
 }
 
+/** Every named scenario exercises a different set of transfer branches:
+ *  the write buffer (BUFF-20), the RCA fabric, no bank-aware policy
+ *  (64-TSB, MRAM-RP), the extra VC (+1VC), and real L2 tags. */
+TEST(Snapshot, RoundTripEveryScenario)
+{
+    std::vector<system::SystemConfig> cfgs;
+    const std::string names = system::scenarios::knownNames();
+    for (std::size_t at = 0; at != std::string::npos;) {
+        const std::size_t comma = names.find(", ", at);
+        auto cfg = baseConfig(1, 1, true, false);
+        ASSERT_TRUE(system::scenarios::byName(
+            names.substr(at, comma - at), cfg.scenario));
+        cfgs.push_back(cfg);
+        at = comma == std::string::npos ? comma : comma + 2;
+    }
+    ASSERT_GE(cfgs.size(), 10u);
+    auto tags = baseConfig(1, 1, true, false);
+    tags.realTags = true;
+    cfgs.push_back(tags);
+
+    for (const auto &ref_cfg : cfgs) {
+        const std::uint64_t ref = runUninterrupted(ref_cfg);
+        const std::string ckpt = captureCheckpoint(ref_cfg);
+        for (const int threads : {1, 4}) {
+            auto cfg = ref_cfg;
+            cfg.threads = threads;
+            EXPECT_EQ(runRestored(cfg, ckpt), ref)
+                << ref_cfg.scenario.name << " realTags=" << ref_cfg.realTags
+                << " threads=" << threads;
+        }
+    }
+}
+
+/** The whole checkpoint file, header and payload, for three
+ *  configurations that between them reach every optional section. The
+ *  values are fixed: a transfer-code change that alters a single byte
+ *  must bump kFormatVersion and re-record them on purpose. */
+TEST(Snapshot, PayloadBytesArePinned)
+{
+    const auto fnv = [](const system::SystemConfig &cfg) {
+        return snapshot::fnv1a(captureCheckpoint(cfg));
+    };
+    ASSERT_EQ(snapshot::kFormatVersion, 1u);
+
+    EXPECT_EQ(fnv(baseConfig(1, 1, true, true)), 0xf01021b1f8c3e3dfull)
+        << "MRAM-4TSB-WB with faults";
+
+    auto buff = baseConfig(1, 1, true, false);
+    buff.scenario = system::scenarios::sttramBuff20();
+    EXPECT_EQ(fnv(buff), 0x430f1b25c46b2bc6ull) << "BUFF-20";
+
+    auto rca = baseConfig(1, 1, true, false);
+    rca.scenario = system::scenarios::sttram4TsbRca();
+    rca.realTags = true;
+    EXPECT_EQ(fnv(rca), 0xe10d08e1fb44af1cull)
+        << "MRAM-4TSB-RCA with real tags";
+}
+
 TEST(Snapshot, WarmDigestIgnoresEngineKnobs)
 {
     const auto a = baseConfig(1, 1, true, false);
@@ -188,6 +250,19 @@ TEST(Snapshot, RejectsCorruptionTruncationAndMismatch)
               std::string::npos);
     bad = ckpt.substr(0, 10);
     EXPECT_NE(restoreErr(bad, digest).find("truncated"),
+              std::string::npos);
+
+    // A corrupt element count under a valid checksum: the packet-id
+    // stream count (payload bytes 0..3, file offset 44) claims 2^32-1
+    // entries. It must be refused before anything is sized by it.
+    constexpr std::size_t kPayload = 44, kChecksum = 36;
+    bad = ckpt;
+    bad.replace(kPayload, 4, "\xff\xff\xff\xff");
+    std::uint64_t sum =
+        snapshot::fnv1a(bad.data() + kPayload, bad.size() - kPayload);
+    for (std::size_t i = 0; i < 8; ++i, sum >>= 8)
+        bad[kChecksum + i] = static_cast<char>(sum & 0xff);
+    EXPECT_NE(restoreErr(bad, digest).find("restore failed"),
               std::string::npos);
 }
 

@@ -12,10 +12,12 @@
  * server spawns its pool that way, so there is exactly one binary.
  */
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include <unistd.h>
@@ -97,6 +99,8 @@ main(int argc, char **argv)
     int jobBackoffMs = 200;
     int jobDeadlineSec = 0;
     bool workerMode = false;
+    constexpr int kIntMax = std::numeric_limits<int>::max();
+    constexpr auto kU64Max = std::numeric_limits<unsigned long long>::max();
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -108,37 +112,50 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        // An integer flag: the whole value, in [lo, hi], or exit 2.
+        const auto num = [&](const char *what, auto lo, auto hi) {
+            const char *text = need(what);
+            const char *end = text + std::strlen(text);
+            decltype(lo) v{};
+            const auto [ptr, ec] = std::from_chars(text, end, v);
+            if (ec != std::errc{} || ptr != end || v < lo || v > hi) {
+                std::fprintf(stderr,
+                             "%s: %s needs an integer in [%s, %s], got "
+                             "'%s'\n",
+                             argv[0], what, std::to_string(lo).c_str(),
+                             std::to_string(hi).c_str(), text);
+                std::exit(2);
+            }
+            return v;
+        };
         if (arg == "--socket") {
             socketPath = need("--socket");
         } else if (arg == "--workers") {
-            workers = std::atoi(need("--workers"));
+            workers = num("--workers", 1, kIntMax);
         } else if (arg == "--ckpt-dir") {
             ckptDir = need("--ckpt-dir");
         } else if (arg == "--ckpt-cap-bytes") {
-            ckptCapBytes = std::strtoull(need("--ckpt-cap-bytes"),
-                                         nullptr, 10);
+            ckptCapBytes = num("--ckpt-cap-bytes", 0ull, kU64Max);
         } else if (arg == "--http") {
-            httpPort = std::atoi(need("--http"));
+            httpPort = num("--http", 0, 65535);
         } else if (arg == "--log-json") {
             logJsonPath = need("--log-json");
         } else if (arg == "--log-rotate-bytes") {
-            logRotateBytes = std::strtoull(need("--log-rotate-bytes"),
-                                           nullptr, 10);
+            logRotateBytes = num("--log-rotate-bytes", 0ull, kU64Max);
         } else if (arg == "--store-dir") {
             storeDir = need("--store-dir");
         } else if (arg == "--max-queue") {
-            maxQueue = std::atoi(need("--max-queue"));
+            maxQueue = num("--max-queue", 0, kIntMax);
         } else if (arg == "--job-retries") {
-            jobRetries = std::atoi(need("--job-retries"));
+            jobRetries = num("--job-retries", 0, kIntMax);
         } else if (arg == "--job-backoff-ms") {
-            jobBackoffMs = std::atoi(need("--job-backoff-ms"));
+            jobBackoffMs = num("--job-backoff-ms", 0, kIntMax);
         } else if (arg == "--job-deadline-sec") {
-            jobDeadlineSec = std::atoi(need("--job-deadline-sec"));
+            jobDeadlineSec = num("--job-deadline-sec", 0, kIntMax);
         } else if (arg == "--chaos") {
             chaosSpec = need("--chaos");
         } else if (arg == "--chaos-seed") {
-            chaosSeed =
-                std::strtoull(need("--chaos-seed"), nullptr, 10);
+            chaosSeed = num("--chaos-seed", 0ull, kU64Max);
         } else if (arg == "--worker") {
             workerMode = true;
         } else if (arg == "--help" || arg == "-h") {
@@ -171,22 +188,6 @@ main(int argc, char **argv)
 
     if (socketPath.empty()) {
         usage(argv[0]);
-        return 2;
-    }
-    if (workers < 1) {
-        std::fprintf(stderr, "%s: --workers must be >= 1\n", argv[0]);
-        return 2;
-    }
-    if (httpPort > 65535) {
-        std::fprintf(stderr, "%s: --http port out of range\n", argv[0]);
-        return 2;
-    }
-    if (jobRetries < 0 || jobBackoffMs < 0 || jobDeadlineSec < 0 ||
-        maxQueue < 0) {
-        std::fprintf(stderr,
-                     "%s: --job-retries/--job-backoff-ms/"
-                     "--job-deadline-sec/--max-queue must be >= 0\n",
-                     argv[0]);
         return 2;
     }
 
