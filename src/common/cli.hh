@@ -2,12 +2,16 @@
  * @file
  * Small command-line helpers shared by the tools: unknown-flag
  * suggestions ("did you mean --cycles?") so typos fail loudly instead
- * of being silently ignored.
+ * of being silently ignored, and whole-value integer flag parsing.
  */
 
 #ifndef STACKNOC_COMMON_CLI_HH
 #define STACKNOC_COMMON_CLI_HH
 
+#include <charconv>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -34,6 +38,30 @@ std::string closestOption(const std::string &arg,
  */
 void reportUnknownOption(const char *tool, const std::string &arg,
                          const std::vector<std::string> &options);
+
+/**
+ * The value @p text of integer flag @p flag: the whole string must be
+ * a decimal integer in [@p lo, @p hi] (no sign on unsigned types, no
+ * spaces, no suffix). Anything else prints one line,
+ * "<tool>: <flag> needs an integer in [lo, hi], got '<text>'", and
+ * exits 2, so a typo never silently becomes 0 or a default.
+ */
+template <class T>
+T
+parseInt(const char *tool, const char *flag, const char *text, T lo, T hi)
+{
+    const char *end = text + std::strlen(text);
+    T v{};
+    const auto [ptr, ec] = std::from_chars(text, end, v);
+    if (ec != std::errc{} || ptr != end || v < lo || v > hi) {
+        std::fprintf(stderr,
+                     "%s: %s needs an integer in [%s, %s], got '%s'\n", tool,
+                     flag, std::to_string(lo).c_str(),
+                     std::to_string(hi).c_str(), text);
+        std::exit(2);
+    }
+    return v;
+}
 
 } // namespace stacknoc::cli
 

@@ -5,10 +5,10 @@
  * The Simulator owns the component registry and the clock; an
  * ExecutionEngine owns the tick loop. SequentialEngine reproduces the
  * historical single-threaded loop exactly; ShardedParallelEngine ticks
- * spatial shards of the component registry on persistent worker threads
- * with a two-phase (compute, then commit) cycle that is bit-identical
- * to the sequential engine regardless of thread count. See
- * docs/ENGINE.md for the determinism contract.
+ * spatial shards of the component registry on persistent worker threads,
+ * one barrier per cycle, bit-identical to the sequential engine
+ * regardless of thread count. See docs/ENGINE.md for the determinism
+ * contract.
  */
 
 #ifndef STACKNOC_ENGINE_ENGINE_HH

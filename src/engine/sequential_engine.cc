@@ -25,8 +25,7 @@ SequentialEngine::~SequentialEngine()
 void
 SequentialEngine::unbindFlags()
 {
-    for (std::size_t i = 0; i < order_.size(); ++i)
-        order_[i].component->unbindWakeFlag(&active_[i]);
+    wakes_.bind(order_, false);
 }
 
 void
@@ -47,11 +46,12 @@ SequentialEngine::ensureSchedule()
         order_.push_back(item);
 
     // Everything starts awake; the first tick establishes quiescence.
-    active_.assign(order_.size(), 1);
-    if (elide_) {
-        for (std::size_t i = 0; i < order_.size(); ++i)
-            order_[i].component->bindWakeFlag(&active_[i]);
-    }
+    // Pushes also wake at once, so a receiver later in the walk ticks in
+    // the push's cycle as well: the reference schedule, which pinned
+    // checkpoint bytes (lazy credit drains) depend on.
+    wakes_.reset(order_.size());
+    if (elide_)
+        wakes_.bind(order_, true, true);
 
     scheduleVersion_ = sim_.registryVersion();
     scheduleBuilt_ = true;
@@ -79,15 +79,15 @@ SequentialEngine::runPlain(Cycle cycles)
     for (Cycle i = 0; i < cycles; ++i) {
         const Cycle now = sim_.now();
         if (elide_) {
+            const std::uint8_t bit = Ticking::wakeBit(now);
             std::uint64_t ticked = 0;
             for (std::size_t s = 0; s < n; ++s) {
-                if (!active_[s])
+                if (!wakes_.due(s, bit))
                     continue;
                 const ShardItem &item = order_[s];
                 tickByKind(item, now);
                 ++ticked;
-                if (quiescentByKind(item, now))
-                    active_[s] = 0;
+                wakes_.active[s] = quiescentByKind(item, now) ? 0 : 1;
             }
             ticked_ += ticked;
         } else {
@@ -113,15 +113,16 @@ SequentialEngine::runProfiled(Cycle cycles)
         // their sum tracks wall time.
         const double cycle_start = prof.nowSeconds();
         double t_prev = cycle_start;
+        const std::uint8_t bit = Ticking::wakeBit(now);
         std::uint64_t ticked = 0;
         for (std::size_t s = 0; s < n; ++s) {
-            if (elide_ && !active_[s])
+            if (elide_ && !wakes_.due(s, bit))
                 continue;
             const ShardItem &item = order_[s];
             tickByKind(item, now);
             ++ticked;
-            if (elide_ && quiescentByKind(item, now))
-                active_[s] = 0;
+            if (elide_)
+                wakes_.active[s] = quiescentByKind(item, now) ? 0 : 1;
             const double t = prof.nowSeconds();
             prof.addKindSeconds(static_cast<std::uint8_t>(item.kind),
                                 t - t_prev);

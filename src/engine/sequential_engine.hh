@@ -11,6 +11,7 @@
 
 #include "engine/engine.hh"
 #include "engine/shard_plan.hh"
+#include "engine/wake_set.hh"
 
 namespace stacknoc::snapshot {
 class StateIO;
@@ -24,9 +25,10 @@ namespace stacknoc::engine {
  * reference tick order the sharded engine must be bit-identical to.
  *
  * With elision on (the default) a component reporting quiescent() after
- * its tick leaves the active set and is skipped until a channel push or
- * direct call wakes it; the skipped ticks are no-ops by the quiescence
- * contract, so results match the full walk exactly. With elision off
+ * its tick leaves the active set and is skipped until a direct call
+ * wakes it or a channel push stamps it for the next cycle (the same
+ * WakeSet the sharded engine keeps); the skipped ticks are no-ops by
+ * the quiescence contract, so results match the full walk exactly. With elision off
  * every component ticks every cycle, in the same schedule order.
  *
  * With a profiler installed the engine runs an instrumented copy of
@@ -59,8 +61,8 @@ class SequentialEngine : public ExecutionEngine
 
     /** The kind-batched schedule, parallel items then serial items. */
     std::vector<ShardItem> order_;
-    /** Active flags, 1:1 with order_ (wake targets; elision only). */
-    std::vector<std::uint8_t> active_;
+    /** Wake state, 1:1 with order_ (bound only with elision on). */
+    WakeSet wakes_;
     std::uint64_t scheduleVersion_ = 0;
     bool scheduleBuilt_ = false;
     bool kindsSet_ = false; //!< profiler kind names published once

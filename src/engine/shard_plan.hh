@@ -22,9 +22,9 @@ struct ShardItem
      * Position in the global kind-batched schedule: all components
      * sorted by (tickKind, registration index). This is the canonical
      * within-cycle tick order of every engine — the sequential engine
-     * walks it directly, and the sharded engine's commit phase merges
-     * per-shard stat/trace logs by it — so results are bit-identical
-     * across engines, thread counts, and elision modes.
+     * walks it directly, and the sharded engine merges per-shard trace
+     * logs by it when tracing — so results are bit-identical across
+     * engines, thread counts, and elision modes.
      */
     std::uint32_t ordinal = 0;
     /** The affinity key the component was registered with. */

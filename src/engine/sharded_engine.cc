@@ -32,30 +32,25 @@ ShardedParallelEngine::ShardedParallelEngine(Simulator &sim, int threads,
     : ExecutionEngine(sim, elide),
       plan_(buildShardPlan(sim, threads)),
       requested_threads_(threads),
-      registry_version_(sim.registryVersion())
+      registry_version_(sim.registryVersion()),
+      serial_(plan_.serial.size())
 {
     panic_if(threads < 2,
              "ShardedParallelEngine needs >= 2 threads (use "
              "SequentialEngine for 1)");
 
+    // Everything starts awake; the first tick proves quiescence.
     const std::size_t nshards = plan_.numShards();
     shard_state_.reserve(nshards);
     for (std::size_t s = 0; s < nshards; ++s) {
-        shard_state_.push_back(std::make_unique<ShardState>());
+        shard_state_.push_back(
+            std::make_unique<ShardState>(plan_.shards[s].size()));
         trace_logs_.push_back(&shard_state_.back()->trace_log);
-        // Everything starts awake; the first tick proves quiescence.
-        shard_state_.back()->active.assign(plan_.shards[s].size(), 1);
-        if (elide_) {
-            auto &st = *shard_state_.back();
-            for (std::size_t i = 0; i < plan_.shards[s].size(); ++i)
-                plan_.shards[s][i].component->bindWakeFlag(&st.active[i]);
-        }
+        if (elide_)
+            shard_state_.back()->wakes.bind(plan_.shards[s], true);
     }
-    serial_active_.assign(plan_.serial.size(), 1);
-    if (elide_) {
-        for (std::size_t i = 0; i < plan_.serial.size(); ++i)
-            plan_.serial[i].component->bindWakeFlag(&serial_active_[i]);
-    }
+    if (elide_)
+        serial_.bind(plan_.serial, true);
 
     // Spin only when every shard can own a hardware thread; otherwise
     // the barrier must yield so the preempted shard gets to run.
@@ -76,22 +71,18 @@ ShardedParallelEngine::~ShardedParallelEngine()
         w.join();
 
     if (elide_) {
-        for (std::size_t s = 0; s < plan_.shards.size(); ++s) {
-            auto &st = *shard_state_[s];
-            for (std::size_t i = 0; i < plan_.shards[s].size(); ++i)
-                plan_.shards[s][i].component->unbindWakeFlag(&st.active[i]);
-        }
-        for (std::size_t i = 0; i < plan_.serial.size(); ++i)
-            plan_.serial[i].component->unbindWakeFlag(&serial_active_[i]);
+        for (std::size_t s = 0; s < plan_.shards.size(); ++s)
+            shard_state_[s]->wakes.bind(plan_.shards[s], false);
+        serial_.bind(plan_.serial, false);
     }
 }
 
 std::uint64_t
 ShardedParallelEngine::tickedComponents() const
 {
-    std::uint64_t total = ticked_; // serial-phase ticks
+    std::uint64_t total = serial_.ticked;
     for (const auto &st : shard_state_)
-        total += st->ticked;
+        total += st->wakes.ticked;
     return total;
 }
 
@@ -129,79 +120,47 @@ ShardedParallelEngine::workerLoop(std::size_t shard)
 }
 
 void
+ShardedParallelEngine::tickList(const std::vector<ShardItem> &items,
+                                WakeSet &ws, Cycle now,
+                                telemetry::TraceLog *log)
+{
+    if (!elide_) {
+        for (const ShardItem &item : items) {
+            if (log != nullptr)
+                log->beginComponent(item.ordinal);
+            tickByKind(item, now);
+        }
+        ws.ticked += items.size();
+        return;
+    }
+    const std::uint8_t bit = Ticking::wakeBit(now);
+    std::uint64_t ticked = 0;
+    for (std::size_t i = 0; i < items.size(); ++i) {
+        if (!ws.due(i, bit))
+            continue;
+        const ShardItem &item = items[i];
+        if (log != nullptr)
+            log->beginComponent(item.ordinal);
+        tickByKind(item, now);
+        ++ticked;
+        ws.active[i] = quiescentByKind(item, now) ? 0 : 1;
+    }
+    ws.ticked += ticked;
+}
+
+void
 ShardedParallelEngine::runShard(std::size_t shard, Cycle now)
 {
     ShardState &st = *shard_state_[shard];
     // The tracer is installed and removed only between run() calls.
     const bool tracing = telemetry::tracer() != nullptr;
-    ChannelBase::setStagingList(&st.staged_channels);
     stats::setConcurrentUpdates(true);
     if (tracing)
         telemetry::setTraceLog(&st.trace_log);
-    const std::vector<ShardItem> &items = plan_.shards[shard];
-    if (elide_) {
-        std::uint64_t ticked = 0;
-        for (std::size_t i = 0; i < items.size(); ++i) {
-            if (!st.active[i])
-                continue;
-            const ShardItem &item = items[i];
-            if (tracing)
-                st.trace_log.beginComponent(item.ordinal);
-            tickByKind(item, now);
-            ++ticked;
-            if (quiescentByKind(item, now))
-                st.active[i] = 0;
-        }
-        st.ticked += ticked;
-    } else {
-        for (const ShardItem &item : items) {
-            if (tracing)
-                st.trace_log.beginComponent(item.ordinal);
-            tickByKind(item, now);
-        }
-        st.ticked += items.size();
-    }
-    ChannelBase::setStagingList(nullptr);
+    tickList(plan_.shards[shard], st.wakes, now,
+             tracing ? &st.trace_log : nullptr);
     stats::setConcurrentUpdates(false);
     telemetry::setTraceLog(nullptr);
-}
-
-void
-ShardedParallelEngine::runSerial(Cycle now)
-{
-    const std::vector<ShardItem> &items = plan_.serial;
-    if (elide_) {
-        for (std::size_t i = 0; i < items.size(); ++i) {
-            if (!serial_active_[i])
-                continue;
-            const ShardItem &item = items[i];
-            tickByKind(item, now);
-            ++ticked_;
-            if (quiescentByKind(item, now))
-                serial_active_[i] = 0;
-        }
-    } else {
-        for (const ShardItem &item : items)
-            tickByKind(item, now);
-        ticked_ += items.size();
-    }
-}
-
-void
-ShardedParallelEngine::commitStagedState()
-{
-    // Commit phase: channel splices (cheap, order-free — each channel is
-    // enrolled in exactly one shard's list because channels are
-    // single-sender), then, while tracing, the ordinal-ordered trace
-    // replay. Stats need no commit: their updates commute.
-    for (auto &st : shard_state_) {
-        for (ChannelBase *ch : st->staged_channels)
-            ch->commitStaged();
-        st->staged_channels.clear();
-    }
-    if (telemetry::tracer() != nullptr)
-        telemetry::TraceLog::applyInOrder(trace_logs_.data(),
-                                          trace_logs_.size());
 }
 
 void
@@ -220,9 +179,11 @@ ShardedParallelEngine::runCycle()
         return done_.load(std::memory_order_acquire) == nworkers;
     });
 
-    commitStagedState();
+    if (telemetry::tracer() != nullptr)
+        telemetry::TraceLog::applyInOrder(trace_logs_.data(),
+                                          trace_logs_.size());
 
-    runSerial(now);
+    tickList(plan_.serial, serial_, now, nullptr);
 
     slots_ += plan_.parallelCount() + plan_.serial.size();
     sim_.completeCycle();
@@ -233,8 +194,10 @@ ShardedParallelEngine::runCycleProfiled()
 {
     // Identical to runCycle() plus chained wall-clock stamps around
     // each phase, so phase durations tile the cycle. The extra clock
-    // reads are observer-only: the tick/commit/serial sequence — and
+    // reads are observer-only: the tick/replay/serial sequence — and
     // therefore every simulation result — is byte-for-byte the same.
+    // The Commit phase times the trace replay, so untraced it reads
+    // about 0.
     using telemetry::EnginePhase;
     telemetry::CycleProfiler &prof = *profiler_;
 
@@ -258,11 +221,13 @@ ShardedParallelEngine::runCycleProfiled()
     const double t2 = prof.nowSeconds();
     prof.addPhase(EnginePhase::Barrier, t1, t2);
 
-    commitStagedState();
+    if (telemetry::tracer() != nullptr)
+        telemetry::TraceLog::applyInOrder(trace_logs_.data(),
+                                          trace_logs_.size());
     const double t3 = prof.nowSeconds();
     prof.addPhase(EnginePhase::Commit, t2, t3);
 
-    runSerial(now);
+    tickList(plan_.serial, serial_, now, nullptr);
     const double t4 = prof.nowSeconds();
     prof.addPhase(EnginePhase::Serial, t3, t4);
 

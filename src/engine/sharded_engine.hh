@@ -14,7 +14,7 @@
 
 #include "engine/engine.hh"
 #include "engine/shard_plan.hh"
-#include "sim/channel.hh"
+#include "engine/wake_set.hh"
 #include "telemetry/trace.hh"
 
 namespace stacknoc::snapshot {
@@ -29,19 +29,18 @@ namespace stacknoc::engine {
  *
  *  1. Parallel compute phase: every shard ticks its active components
  *     in ascending schedule-ordinal order (kind-batched, devirtualized
- *     dispatch) with thread-local staging installed, so channel pushes
- *     and (while tracing) trace records are deferred into per-shard
- *     buffers instead of touching shared state. Stats update in place
- *     through relaxed atomic adds, which commute. With elision on, a
- *     component reporting quiescent() after its tick leaves the active
- *     set until a wake re-arms it.
+ *     dispatch). Channel pushes go straight into the channels' SPSC
+ *     rings and wake their receivers through wake stamps for the next
+ *     cycle; while tracing, trace records are deferred into per-shard
+ *     logs. Stats update in place through relaxed atomic adds, which
+ *     commute. With elision on, a component reporting quiescent()
+ *     after its tick leaves the active set until a wake re-arms it.
  *  2. Barrier (sense = epoch counter, spin with yield fallback).
- *  3. Commit phase (main thread): staged channel values are spliced
- *     into the live queues (waking each channel's receiver); while
- *     tracing, trace logs are merged by schedule ordinal — the exact
- *     sequential recording order — and replayed.
+ *  3. Trace replay (main thread, tracing only): the per-shard logs are
+ *     merged by schedule ordinal — the exact sequential recording
+ *     order — and replayed. Untraced cycles skip it.
  *  4. Serial phase (main thread): components registered with
- *     kSerialAffinity tick with staging off.
+ *     kSerialAffinity tick.
  *  5. Cycle-end callbacks and clock advance via Simulator::completeCycle.
  *
  * The main thread executes shard 0 itself, so N shards cost N-1 worker
@@ -80,23 +79,13 @@ class ShardedParallelEngine : public ExecutionEngine
      *  schedule ordinals between run() calls (phase barrier holds). */
     friend class snapshot::StateIO;
 
-    /** Per-shard deferral buffers, one cache-line-separated allocation
-     *  per shard to keep workers from false-sharing. */
-    struct ShardState
+    /** Per-shard state, one cache-line-separated allocation per shard
+     *  to keep workers from false-sharing. */
+    struct alignas(64) ShardState
     {
-        std::vector<ChannelBase *> staged_channels;
+        explicit ShardState(std::size_t n) : wakes(n) {}
         telemetry::TraceLog trace_log;
-        /**
-         * Active flags, 1:1 with the shard's plan items. Written by
-         * the owning worker (deactivation after a quiescent tick) and,
-         * through bound wake pointers, by same-shard direct calls
-         * during the compute phase or by the main thread during
-         * commit/serial/cycle-end — never concurrently, thanks to the
-         * phase barrier.
-         */
-        std::vector<std::uint8_t> active;
-        /** Component ticks this shard executed (occupancy telemetry). */
-        std::uint64_t ticked = 0;
+        WakeSet wakes;
     };
 
     void runCycle();
@@ -104,17 +93,15 @@ class ShardedParallelEngine : public ExecutionEngine
     void runShard(std::size_t shard, Cycle now);
     void workerLoop(std::size_t shard);
 
-    /** Commit phase body shared by the plain and profiled cycles. */
-    void commitStagedState();
-
-    /** Serial-phase body: tick (active) serial components. */
-    void runSerial(Cycle now);
+    /** Tick the due members of @p items (all of them without elision). */
+    void tickList(const std::vector<ShardItem> &items, WakeSet &ws,
+                  Cycle now, telemetry::TraceLog *log);
 
     ShardPlan plan_;
     int requested_threads_;
     std::uint64_t registry_version_;
-    /** Active flags for the serial list (main thread only). */
-    std::vector<std::uint8_t> serial_active_;
+    /** Wake state of the serial list (main thread only). */
+    WakeSet serial_;
     /** Barrier spin budget before yielding (0 when oversubscribed). */
     int spin_iters_ = 0;
 

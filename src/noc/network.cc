@@ -12,7 +12,8 @@ Network::Network(Simulator &sim, const MeshShape &shape,
     // SA/ST push: the crossbar-traversal cycle and the wire cycle are
     // distinct, giving the paper's 3-cycle hop (2 router + 1 link).
     : params_(params), stats_("net"),
-      topo_(shape, params.linkLatency + 1, params.linkBandwidth),
+      topo_(shape, params.linkLatency + 1, params.linkBandwidth,
+            params.portCredits()),
       routing_(std::move(routing))
 {
     fatal_if(routing_ == nullptr, "Network requires a routing function");
@@ -50,10 +51,10 @@ Network::Network(Simulator &sim, const MeshShape &shape,
 
     // NI <-> router local links.
     for (NodeId id = 0; id < n; ++id) {
-        auto to_router = std::make_unique<Link>(params_.linkLatency,
-                                                params_.linkBandwidth);
-        auto from_router = std::make_unique<Link>(params_.linkLatency,
-                                                  params_.linkBandwidth);
+        auto to_router = std::make_unique<Link>(
+            params_.linkLatency, params_.linkBandwidth, params_.portCredits());
+        auto from_router = std::make_unique<Link>(
+            params_.linkLatency, params_.linkBandwidth, params_.portCredits());
         routers_[std::size_t(id)]->connectIn(Dir::Local, to_router.get());
         routers_[std::size_t(id)]->connectOut(Dir::Local,
                                               from_router.get());

@@ -28,10 +28,6 @@ NetworkInterface::connect(Link *to_router, Link *from_router)
 {
     toRouter_ = to_router;
     fromRouter_ = from_router;
-    if (toRouter_ != nullptr)
-        toRouter_->credit.setSignalFlag(&creditPending_);
-    if (fromRouter_ != nullptr)
-        fromRouter_->data.setSignalFlag(&dataPending_);
     for (auto &vc : injVcs_)
         vc.credits = params_.vcDepth;
 }
@@ -48,11 +44,11 @@ NetworkInterface::send(PacketPtr pkt, Cycle now)
 }
 
 bool
-NetworkInterface::quiescent(Cycle) const
+NetworkInterface::quiescent(Cycle now) const
 {
     if (!idle())
         return false;
-    if (fromRouter_ && fromRouter_->data.inFlight() != 0)
+    if (fromRouter_ && fromRouter_->data.inFlight(now) != 0)
         return false;
     // Injection credits in flight don't block quiescence: tick()
     // drains them before inject() reads the counters, and an idle NI
@@ -64,20 +60,14 @@ NetworkInterface::quiescent(Cycle) const
 void
 NetworkInterface::tick(Cycle now)
 {
-    // Credits returned by the router's Local input port. The pending
-    // byte is set by every push and re-armed while credits are still
-    // inside the link latency, so the poll is skipped only when the
-    // channel is provably empty.
-    if (toRouter_ && creditPending_ != 0) {
-        creditPending_ = 0;
+    // Credits returned by the router's Local input port.
+    if (toRouter_) {
         while (auto c = toRouter_->credit.receive(now)) {
             auto &vc = injVcs_[static_cast<std::size_t>(c->vc)];
             ++vc.credits;
             panic_if(vc.credits > params_.vcDepth,
                      "NI %d: credit overflow", id_);
         }
-        if (toRouter_->credit.inFlight() != 0)
-            creditPending_ = 1;
     }
     receive(now);
     inject(now);
@@ -91,17 +81,11 @@ NetworkInterface::receive(Cycle now)
     // Arriving flits land in per-VC ejection buffers. Credits return
     // only when a flit is consumed, so a client refusing admission backs
     // traffic up into the router and onward through the network.
-    if (dataPending_ != 0) {
-        dataPending_ = 0;
-        while (auto lf = fromRouter_->data.receive(now)) {
-            auto &vc = ejectVcs_[static_cast<std::size_t>(lf->vc)];
-            panic_if(static_cast<int>(vc.buffer.size()) >=
-                         params_.vcDepth,
-                     "NI %d: ejection buffer overflow", id_);
-            vc.buffer.push_back(std::move(lf->flit));
-        }
-        if (fromRouter_->data.inFlight() != 0)
-            dataPending_ = 1;
+    while (auto lf = fromRouter_->data.receive(now)) {
+        auto &vc = ejectVcs_[static_cast<std::size_t>(lf->vc)];
+        panic_if(static_cast<int>(vc.buffer.size()) >= params_.vcDepth,
+                 "NI %d: ejection buffer overflow", id_);
+        vc.buffer.push_back(std::move(lf->flit));
     }
     drainEjectBuffers(now);
 }

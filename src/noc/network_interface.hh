@@ -268,13 +268,6 @@ class NetworkInterface final : public Ticking, public PacketSender
     std::vector<EjectVc> ejectVcs_;
     int rrInjVc_ = 0;
 
-    /** Push-notification bytes for the local links (bound to the
-     *  channels by connect() via Channel::setSignalFlag): set on every
-     *  push, cleared by the drains once the channel is empty, so the
-     *  tick touches the link queues only when something arrived. */
-    std::uint8_t dataPending_ = 0;
-    std::uint8_t creditPending_ = 0;
-
     stats::Counter &packetsInjected_;
     stats::Counter &packetsEjected_;
     stats::Counter &packetsDropped_;

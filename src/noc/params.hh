@@ -52,6 +52,14 @@ struct NocParams
         return std::accumulate(vcsPerVnet.begin(), vcsPerVnet.end(), 0);
     }
 
+    /** @return credits per port (VCs x VC depth): the most flits, or
+     *  returning credits, a link can hold in flight. */
+    std::size_t
+    portCredits() const
+    {
+        return static_cast<std::size_t>(totalVcs() * vcDepth);
+    }
+
     /** @return first VC index of a virtual network. */
     int
     vnetBase(int vnet) const

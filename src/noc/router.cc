@@ -64,19 +64,12 @@ void
 Router::connectIn(Dir d, Link *link)
 {
     in_[static_cast<std::size_t>(static_cast<int>(d))].link = link;
-    // Pending bytes let the per-tick drains skip polling channels
-    // nothing was pushed on; bound here so every wiring (full systems
-    // and single-router tests alike) gets them.
-    link->data.setSignalFlag(
-        &dataPending_[static_cast<std::size_t>(static_cast<int>(d))]);
 }
 
 void
 Router::connectOut(Dir d, Link *link)
 {
     out_[static_cast<std::size_t>(static_cast<int>(d))].link = link;
-    link->credit.setSignalFlag(
-        &creditPending_[static_cast<std::size_t>(static_cast<int>(d))]);
 }
 
 void
@@ -94,22 +87,17 @@ Router::tick(Cycle now)
 void
 Router::receiveCredits(Cycle now)
 {
-    // A port's pending byte is re-armed while credits remain in
-    // flight (pushed but not yet past the link latency), so no
-    // arrival can be missed.
-    for (int pi = 0; pi < kNumDirs; ++pi) {
-        if (creditPending_[static_cast<std::size_t>(pi)] == 0)
+    // A port nothing was pushed on costs one load of the channel's
+    // tail, a line that stays cached until its sender writes it.
+    for (OutPort &op : out_) {
+        if (!op.link)
             continue;
-        creditPending_[static_cast<std::size_t>(pi)] = 0;
-        OutPort &op = out_[static_cast<std::size_t>(pi)];
         while (auto c = op.link->credit.receive(now)) {
             auto &credit = op.credits[static_cast<std::size_t>(c->vc)];
             ++credit;
             panic_if(credit > params_.vcDepth,
                      "router %d: credit overflow on vc %d", id_, c->vc);
         }
-        if (op.link->credit.inFlight() != 0)
-            creditPending_[static_cast<std::size_t>(pi)] = 1;
     }
 }
 
@@ -117,10 +105,9 @@ void
 Router::receiveFlits(Cycle now)
 {
     for (int pi = 0; pi < kNumDirs; ++pi) {
-        if (dataPending_[static_cast<std::size_t>(pi)] == 0)
-            continue;
-        dataPending_[static_cast<std::size_t>(pi)] = 0;
         InPort &ip = in_[static_cast<std::size_t>(pi)];
+        if (!ip.link)
+            continue;
         while (auto lf = ip.link->data.receive(now)) {
             auto &vc = ip.vcs[static_cast<std::size_t>(lf->vc)];
             panic_if(static_cast<int>(vc.buffer.size()) >= params_.vcDepth,
@@ -149,8 +136,6 @@ Router::receiveFlits(Cycle now)
                 changeStatus(vc, VcStatus::Routing);
             }
         }
-        if (ip.link->data.inFlight() != 0)
-            dataPending_[static_cast<std::size_t>(pi)] = 1;
     }
 }
 
@@ -482,7 +467,7 @@ Router::localCongestion() const
 }
 
 bool
-Router::quiescent(Cycle) const
+Router::quiescent(Cycle now) const
 {
     if (faults_ != nullptr && faults_->spec().stuckRouter == id_)
         return false;
@@ -493,7 +478,7 @@ Router::quiescent(Cycle) const
         return false;
     }
     for (const auto &ip : in_) {
-        if (ip.link && ip.link->data.inFlight() != 0)
+        if (ip.link && ip.link->data.inFlight(now) != 0)
             return false;
     }
     // Credits in flight on the output links do NOT block quiescence:

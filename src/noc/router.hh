@@ -190,15 +190,6 @@ class Router final : public Ticking
     int bufferedTotal_ = 0;
     int localCongestion_ = 0; //!< buffered flits excluding the Local port
 
-    /**
-     * Per-port push-notification bytes (Channel::setSignalFlag): set
-     * by every push on the port's channel, cleared by the drains once
-     * the channel is empty, so receiveFlits/receiveCredits touch only
-     * ports something was actually pushed on.
-     */
-    std::array<std::uint8_t, kNumDirs> dataPending_{};
-    std::array<std::uint8_t, kNumDirs> creditPending_{};
-
     stats::Counter &flitsIn_;
     stats::Counter &flitsOut_;
     stats::Counter &packetsForwarded_;

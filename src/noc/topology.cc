@@ -34,9 +34,9 @@ opposite(Dir d)
 }
 
 Topology::Topology(const MeshShape &shape, Cycle link_latency,
-                   int link_bandwidth)
+                   int link_bandwidth, std::size_t link_capacity)
     : shape_(shape), linkLatency_(link_latency),
-      linkBandwidth_(link_bandwidth),
+      linkBandwidth_(link_bandwidth), linkCapacity_(link_capacity),
       links_(static_cast<std::size_t>(shape.totalNodes()))
 {
     for (NodeId n = 0; n < shape_.totalNodes(); ++n) {
@@ -44,8 +44,8 @@ Topology::Topology(const MeshShape &shape, Cycle link_latency,
             const Dir dir = static_cast<Dir>(d);
             if (neighbor(n, dir) != kInvalidNode) {
                 links_[static_cast<std::size_t>(n)][static_cast<std::size_t>(
-                    d)] = std::make_unique<Link>(linkLatency_,
-                                                 linkBandwidth_);
+                    d)] = std::make_unique<Link>(
+                    linkLatency_, linkBandwidth_, linkCapacity_);
             }
         }
     }

@@ -40,12 +40,16 @@ Dir opposite(Dir d);
 
 /**
  * A unidirectional physical link: a forward flit pipe and a backward
- * credit pipe, plus a bandwidth in flits per cycle.
+ * credit pipe, plus a bandwidth in flits per cycle. @p capacity is the
+ * receiving port's credit total (VCs x VC depth): a flit in flight holds
+ * one credit and a credit in flight returns one, so neither pipe can
+ * ever hold more.
  */
 struct Link
 {
-    Link(Cycle latency, int bandwidth_)
-        : data(latency), credit(latency), bandwidth(bandwidth_)
+    Link(Cycle latency, int bandwidth_, std::size_t capacity)
+        : data(latency, capacity), credit(latency, capacity),
+          bandwidth(bandwidth_)
     {}
 
     Channel<LinkFlit> data;
@@ -65,8 +69,10 @@ class Topology
      * @param shape mesh dimensions (layers must be 2 for TSV wiring).
      * @param link_latency per-hop link latency in cycles.
      * @param link_bandwidth flits/cycle on regular links.
+     * @param link_capacity per-port credit total (see Link).
      */
-    Topology(const MeshShape &shape, Cycle link_latency, int link_bandwidth);
+    Topology(const MeshShape &shape, Cycle link_latency, int link_bandwidth,
+             std::size_t link_capacity);
 
     const MeshShape &shape() const { return shape_; }
 
@@ -87,6 +93,7 @@ class Topology
     MeshShape shape_;
     Cycle linkLatency_;
     int linkBandwidth_;
+    std::size_t linkCapacity_;
     /** links_[node][dir] = outgoing link, nullptr when no neighbour. */
     std::vector<std::array<std::unique_ptr<Link>, kNumDirs>> links_;
 };

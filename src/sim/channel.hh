@@ -2,15 +2,29 @@
  * @file
  * Fixed-latency typed channels: the only legal way for two Ticking
  * components to exchange state.
+ *
+ * A channel is a single-producer/single-consumer ring with a fixed
+ * delivery latency L >= 1. Each entry carries the cycle it becomes
+ * receivable (push cycle + L). The sender publishes an entry with a
+ * release store of the tail index; the receiver acquires the tail and
+ * pops only entries whose ready cycle has been reached. A value pushed
+ * during cycle t is therefore never receivable during cycle t, so what
+ * a receiver consumes never depends on whether its sender, ticking on
+ * another thread in the same cycle, has pushed yet. That is what lets
+ * the sharded engine run sender and receiver concurrently with no
+ * commit step between cycles.
  */
 
 #ifndef STACKNOC_SIM_CHANNEL_HH
 #define STACKNOC_SIM_CHANNEL_HH
 
-#include <deque>
+#include <atomic>
+#include <bit>
+#include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "common/logging.hh"
 #include "common/types.hh"
@@ -23,85 +37,6 @@ class StateIO;
 } // namespace snapshot
 
 /**
- * Type-erased base of every Channel, carrying the staged-push (double
- * buffer) machinery used by the sharded parallel execution engine.
- *
- * During a parallel compute phase each worker thread installs a staging
- * list via setStagingList(). While a staging list is installed, push()
- * appends to a per-channel staging buffer instead of the live queue and
- * enrols the channel in the thread's list; after the phase barrier the
- * engine calls commitStaged() on every enrolled channel (single
- * threaded), splicing staged values into the live queue in push order.
- *
- * Because every channel has latency >= 1, a value pushed during cycle t
- * can never be received during cycle t, so deferring the queue append to
- * the end of the cycle is unobservable — results are bit-identical to
- * immediate pushes. The staging buffer is only ever touched by the one
- * component that sends on the channel (channels are single-sender), and
- * the live queue only by the one receiver, so the two phases are
- * data-race free without any atomics on the hot path.
- *
- * With no staging list installed (the default, and always the case under
- * the sequential engine) push() is exactly the historical immediate
- * append.
- */
-class ChannelBase
-{
-  public:
-    virtual ~ChannelBase() = default;
-
-    /** Splice staged values into the live queue (engine use only). */
-    virtual void commitStaged() = 0;
-
-    /**
-     * Declare @p t the receiving component of this channel: every push
-     * wakes it for idle elision. Immediate pushes wake at push time;
-     * staged pushes wake during commitStaged(), which runs single
-     * threaded after the phase barrier, so a worker thread never touches
-     * another shard's active flags.
-     */
-    void setWakeTarget(Ticking *t) { wake_target_ = t; }
-
-    /**
-     * Register a receiver-owned "something was pushed" byte: every push
-     * also sets *flag to 1 (immediate pushes at push time, staged
-     * pushes during the single-threaded commitStaged()). The receiver
-     * uses it to skip polling empty channels and is responsible for
-     * re-arming the flag while values remain in flight. Same threading
-     * contract as the wake target.
-     */
-    void setSignalFlag(std::uint8_t *flag) { signal_ = flag; }
-
-    /**
-     * Install @p list as this thread's staged-channel enrolment list
-     * (null restores immediate pushes). Engine use only.
-     */
-    static void
-    setStagingList(std::vector<ChannelBase *> *list)
-    {
-        staging_ = list;
-    }
-
-  protected:
-    static std::vector<ChannelBase *> *stagingList() { return staging_; }
-
-    void
-    wakeTarget()
-    {
-        if (wake_target_ != nullptr)
-            wake_target_->wake();
-        if (signal_ != nullptr)
-            *signal_ = 1;
-    }
-
-  private:
-    static inline thread_local std::vector<ChannelBase *> *staging_ =
-        nullptr;
-    Ticking *wake_target_ = nullptr;
-    std::uint8_t *signal_ = nullptr;
-};
-
-/**
  * A unidirectional pipe with a fixed delivery latency of >= 1 cycle.
  *
  * A value pushed during cycle t becomes receivable during cycle
@@ -109,52 +44,88 @@ class ChannelBase
  * is the sender's job); receivers drain all arrived values.
  *
  * Exactly one component may send on a channel and exactly one may
- * receive; this is what lets the parallel engine run sender and receiver
- * on different threads (see ChannelBase).
+ * receive. The ring holds at most `capacity` values in flight, a bound
+ * the owner must prove (a link's credit total bounds both its flits and
+ * its returning credits); a push past it panics.
+ *
+ * Every push wakes the wake target (Ticking::wakeAt) for the cycle
+ * after the push, which is the earliest cycle any latency can deliver
+ * it in.
  */
 template <typename T>
-class Channel : public ChannelBase
+class alignas(64) Channel
 {
   public:
-    explicit Channel(Cycle latency = 1) : latency_(latency)
+    Channel(Cycle latency, std::size_t capacity)
+        : latency_(latency),
+          capacity_(static_cast<std::uint32_t>(capacity)),
+          mask_(static_cast<std::uint32_t>(std::bit_ceil(capacity) - 1))
     {
         panic_if(latency == 0, "Channel latency must be >= 1");
+        panic_if(capacity == 0 || capacity > (1u << 30),
+                 "Channel capacity must be in [1, 2^30]");
+        // Raw storage: push constructs an entry and receive destroys
+        // it, so building a system's thousands of channels touches no
+        // slot memory.
+        slots_ = std::allocator<Entry>().allocate(std::size_t{mask_} + 1);
     }
 
-    /** Enqueue a value during cycle @p now. */
+    ~Channel()
+    {
+        const std::size_t tail = tail_.load(std::memory_order_relaxed);
+        for (std::size_t i = head_.load(std::memory_order_relaxed);
+             i != tail; ++i)
+            std::destroy_at(&slots_[i & mask_]);
+        std::allocator<Entry>().deallocate(slots_, std::size_t{mask_} + 1);
+    }
+
+    Channel(const Channel &) = delete;
+    Channel &operator=(const Channel &) = delete;
+
+    /** Declare @p t the receiving component: every push wakes it. */
+    void setWakeTarget(Ticking *t) { wakeTarget_ = t; }
+
+    /** Enqueue a value during cycle @p now (sender only). */
     void
     push(Cycle now, T value)
     {
-        if (auto *enrolled = stagingList()) {
-            if (staged_.empty())
-                enrolled->push_back(this);
-            staged_.emplace_back(now + latency_, std::move(value));
-            return;
+        const std::size_t tail = tail_.load(std::memory_order_relaxed);
+        if (tail - headCache_ >= capacity_) {
+            // The acquire orders the receiver's reads of the slots it
+            // freed before this thread overwrites them.
+            headCache_ = head_.load(std::memory_order_acquire);
+            panic_if(tail - headCache_ >= capacity_,
+                     "Channel overflow: %zu values in flight (capacity "
+                     "%zu)",
+                     tail - headCache_, std::size_t{capacity_});
         }
-        queue_.emplace_back(now + latency_, std::move(value));
-        wakeTarget();
-    }
-
-    void
-    commitStaged() override
-    {
-        for (auto &e : staged_)
-            queue_.push_back(std::move(e));
-        staged_.clear();
-        wakeTarget();
+        std::construct_at(&slots_[tail & mask_],
+                          Entry{now + latency_, std::move(value)});
+        tail_.store(tail + 1, std::memory_order_release);
+        if (wakeTarget_ != nullptr)
+            wakeTarget_->wakeAt(now + 1);
     }
 
     /**
-     * Dequeue the next value whose delivery time has been reached.
+     * Dequeue the next value whose delivery time has been reached
+     * (receiver only).
      * @return the value, or std::nullopt if nothing has arrived yet.
      */
     std::optional<T>
     receive(Cycle now)
     {
-        if (queue_.empty() || queue_.front().first > now)
+        const std::size_t head = head_.load(std::memory_order_relaxed);
+        if (head == tailCache_) {
+            tailCache_ = tail_.load(std::memory_order_acquire);
+            if (head == tailCache_)
+                return std::nullopt;
+        }
+        Entry &e = slots_[head & mask_];
+        if (e.ready > now)
             return std::nullopt;
-        T v = std::move(queue_.front().second);
-        queue_.pop_front();
+        T v = std::move(e.value);
+        std::destroy_at(&e);
+        head_.store(head + 1, std::memory_order_release);
         return v;
     }
 
@@ -162,14 +133,41 @@ class Channel : public ChannelBase
     bool
     ready(Cycle now) const
     {
-        return !queue_.empty() && queue_.front().first <= now;
+        const std::size_t head = head_.load(std::memory_order_relaxed);
+        return head != tail_.load(std::memory_order_acquire) &&
+               slots_[head & mask_].ready <= now;
     }
 
-    /** @return number of values in flight (arrived or not). */
-    std::size_t inFlight() const { return queue_.size(); }
+    /** @return number of values in flight, arrived or not (between
+     *  cycles only: during a cycle the sender may still be pushing). */
+    std::size_t
+    inFlight() const
+    {
+        return tail_.load(std::memory_order_acquire) -
+               head_.load(std::memory_order_relaxed);
+    }
 
     /**
-     * Visit every in-flight value, oldest first. Observer use only
+     * @return number of values pushed before cycle @p now still in
+     * flight (ready < now + latency): what the receiver may count
+     * during cycle @p now. A value pushed during @p now is left out
+     * whether or not its sender, on another thread, has pushed it yet,
+     * so the count never depends on thread timing; the push's wake
+     * stamp covers it instead.
+     */
+    std::size_t
+    inFlight(Cycle now) const
+    {
+        const std::size_t head = head_.load(std::memory_order_relaxed);
+        std::size_t tail = tail_.load(std::memory_order_acquire);
+        while (tail != head &&
+               slots_[(tail - 1) & mask_].ready >= now + latency_)
+            --tail;
+        return tail - head;
+    }
+
+    /**
+     * Visit every in-flight value, oldest first. Between cycles only
      * (validation census); must not be used to smuggle state between
      * components ahead of the delivery latency.
      */
@@ -177,22 +175,41 @@ class Channel : public ChannelBase
     void
     forEachInFlight(Fn fn) const
     {
-        for (const auto &e : queue_)
-            fn(e.second);
+        const std::size_t tail = tail_.load(std::memory_order_acquire);
+        for (std::size_t i = head_.load(std::memory_order_relaxed);
+             i != tail; ++i)
+            fn(slots_[i & mask_].value);
     }
 
     Cycle latency() const { return latency_; }
+    std::size_t capacity() const { return capacity_; }
 
   private:
-    /** Checkpointing reads queue_ (with delivery times) and appends
-     *  restored entries without calling wakeTarget(): the engine active
-     *  set is restored separately, and a restore-time wake would differ
-     *  from the saved run's flag state. */
+    /** Checkpointing reads the in-flight entries (with delivery times)
+     *  between cycles and refills an empty ring without waking anyone:
+     *  the engine active set travels in the checkpoint. */
     friend class snapshot::StateIO;
+
+    struct Entry
+    {
+        Cycle ready;
+        T value;
+    };
+
+    // One cache line holds the whole header, so a receiver polling an
+    // empty port touches one line. Splitting the sender's and the
+    // receiver's indices onto separate lines costs the sequential
+    // engine a second line per poll and saves the sharded engine little:
+    // a cross-shard push and its pop move the line either way.
     Cycle latency_;
-    std::deque<std::pair<Cycle, T>> queue_;
-    /** Values pushed during a parallel compute phase, pre-commit. */
-    std::vector<std::pair<Cycle, T>> staged_;
+    Entry *slots_;
+    Ticking *wakeTarget_ = nullptr;
+    std::atomic<std::size_t> tail_{0};
+    std::atomic<std::size_t> head_{0};
+    std::size_t headCache_ = 0; //!< sender's last view of head_
+    std::size_t tailCache_ = 0; //!< receiver's last view of tail_
+    std::uint32_t capacity_;
+    std::uint32_t mask_;
 };
 
 } // namespace stacknoc

@@ -1,6 +1,7 @@
 #include "snapshot/state_io.hh"
 
 #include <bit>
+#include <memory>
 #include <vector>
 
 #include "engine/sequential_engine.hh"
@@ -224,24 +225,45 @@ template <class Ar, Of<noc::Link> T>
 void
 StateIO::io(Ar &ar, Refs &refs, T &link)
 {
-    // Loading deliberately calls no wakeTarget(): the engine active set
-    // travels in the checkpoint, and the pending-signal bytes are
-    // restored per owner.
-    if constexpr (!Ar::loading) {
-        if (!link.data.staged_.empty() || !link.credit.staged_.empty())
-            throw SnapshotError("channel has uncommitted staged values "
-                                "(checkpoint must be taken between "
-                                "cycles)");
+    channel(ar, link.data, [&](auto &v) {
+        flit(ar, refs, v.flit);
+        ar.u32(v.vc);
+    });
+    channel(ar, link.credit, [&](auto &v) { ar.u32(v.vc); });
+}
+
+template <class Ar, class C, class Value>
+void
+StateIO::channel(Ar &ar, C &ch, Value value)
+{
+    // The in-flight entries, oldest first, each with its delivery
+    // cycle. Loading refills the emptied ring without waking anyone:
+    // the engine active set travels in the checkpoint.
+    std::uint32_t n = 0;
+    if constexpr (Ar::loading) {
+        n = static_cast<std::uint32_t>(ar.length());
+        if (n > ch.capacity_)
+            throw SnapshotError("channel holds more values than its "
+                                "capacity (corrupt checkpoint)");
+        if (ch.inFlight() != 0)
+            throw SnapshotError("restore target has values in flight "
+                                "(it must be freshly built)");
+        ch.head_.store(0, std::memory_order_relaxed);
+        ch.tail_.store(n, std::memory_order_relaxed);
+        ch.headCache_ = 0;
+        ch.tailCache_ = 0;
+        for (std::size_t i = 0; i < n; ++i)
+            std::construct_at(&ch.slots_[i], typename C::Entry{});
+    } else {
+        n = static_cast<std::uint32_t>(ch.inFlight());
+        ar.u32(n);
     }
-    ar.seq(link.data.queue_, [&](auto &e) {
-        ar.u64(e.first);
-        flit(ar, refs, e.second.flit);
-        ar.u32(e.second.vc);
-    });
-    ar.seq(link.credit.queue_, [&](auto &e) {
-        ar.u64(e.first);
-        ar.u32(e.second.vc);
-    });
+    const std::size_t head = ch.head_.load(std::memory_order_relaxed);
+    for (std::size_t i = head; i != head + n; ++i) {
+        auto &e = ch.slots_[i & ch.mask_];
+        ar.u64(e.ready);
+        value(e.value);
+    }
 }
 
 template <class Ar, Of<noc::Router> T>
@@ -268,10 +290,23 @@ StateIO::io(Ar &ar, Refs &refs, T &r)
         ar.u32(op.rrVa);
         ar.u32(op.rrSa);
     }
-    for (auto &p : r.dataPending_)
-        ar.u8(p);
-    for (auto &p : r.creditPending_)
-        ar.u8(p);
+    // Two bytes per port the format still carries: whether the port's
+    // data and credit channels hold values (the receiver once kept
+    // these as push-notification flags). Loading ignores them; the
+    // channels themselves are restored with the links.
+    for (const bool data : {true, false}) {
+        for (int d = 0; d < noc::kNumDirs; ++d) {
+            const auto pi = static_cast<std::size_t>(d);
+            const noc::Link *lk = data ? r.in_[pi].link : r.out_[pi].link;
+            std::uint8_t held = 0;
+            if constexpr (!Ar::loading) {
+                if (lk != nullptr)
+                    held = (data ? lk->data.inFlight()
+                                 : lk->credit.inFlight()) != 0;
+            }
+            ar.u8(held);
+        }
+    }
     ar.u64(r.flitsSwitchedTotal_);
     ar.u64(r.flitsBufferedTotal_);
 
@@ -322,8 +357,15 @@ StateIO::io(Ar &ar, Refs &refs, T &ni)
         ar.u64(vc.retxHoldUntil);
     }
     ar.u32(ni.rrInjVc_);
-    ar.u8(ni.dataPending_);
-    ar.u8(ni.creditPending_);
+    // As for routers: whether the local links hold values (data in,
+    // credits back), written for the format and ignored on load.
+    std::uint8_t held[2] = {};
+    if constexpr (!Ar::loading) {
+        held[0] = ni.fromRouter_ && ni.fromRouter_->data.inFlight() != 0;
+        held[1] = ni.toRouter_ && ni.toRouter_->credit.inFlight() != 0;
+    }
+    ar.u8(held[0]);
+    ar.u8(held[1]);
     ar.u64(ni.flitsRetransmittedTotal_);
 }
 
@@ -393,38 +435,44 @@ StateIO::io(Ar &ar, engine::ExecutionEngine &eng, std::size_t components)
 {
     // Active flags travel in canonical schedule-ordinal order, whichever
     // engine is attached. An unscheduled (never-run) engine saves
-    // all-awake. Loading applies the flags exactly: a spurious wake is
-    // harmless (quiescent ticks are no-ops) but a missed wake diverges.
-    // Engines that ignore the flags (elision off) tick everything anyway.
+    // all-awake. Pending wake stamps fold into the flags (between
+    // cycles a stamp is always for the next cycle, which is what an
+    // active flag means), and loading clears them. Loading applies the
+    // flags exactly: a spurious wake is harmless (quiescent ticks are
+    // no-ops) but a missed wake diverges. Engines that ignore the flags
+    // (elision off) tick everything anyway.
     std::vector<std::uint8_t> flags(components, 1);
-    const auto eachActive = [&](auto &&fn) {
+    const auto list = [&](const auto &items, engine::WakeSet &ws) {
+        for (std::size_t i = 0; i < items.size(); ++i) {
+            if constexpr (Ar::loading)
+                ws.active[i] = flags.at(items[i].ordinal);
+            else
+                flags.at(items[i].ordinal) = ws.awake(i);
+        }
+        if constexpr (Ar::loading)
+            ws.clearStamps();
+    };
+    const auto eachList = [&] {
         if (auto *seq = dynamic_cast<engine::SequentialEngine *>(&eng)) {
             if constexpr (Ar::loading)
                 seq->ensureSchedule();
-            if (seq->scheduleBuilt_) {
-                for (std::size_t i = 0; i < seq->order_.size(); ++i)
-                    fn(seq->order_[i].ordinal, seq->active_[i]);
-            }
+            if (seq->scheduleBuilt_)
+                list(seq->order_, seq->wakes_);
         } else if (auto *sh = dynamic_cast<engine::ShardedParallelEngine *>(
                        &eng)) {
-            for (std::size_t s = 0; s < sh->plan_.shards.size(); ++s) {
-                const auto &items = sh->plan_.shards[s];
-                auto &st = *sh->shard_state_[s];
-                for (std::size_t i = 0; i < items.size(); ++i)
-                    fn(items[i].ordinal, st.active[i]);
-            }
-            for (std::size_t i = 0; i < sh->plan_.serial.size(); ++i)
-                fn(sh->plan_.serial[i].ordinal, sh->serial_active_[i]);
+            for (std::size_t s = 0; s < sh->plan_.shards.size(); ++s)
+                list(sh->plan_.shards[s], sh->shard_state_[s]->wakes);
+            list(sh->plan_.serial, sh->serial_);
         }
     };
 
     if constexpr (!Ar::loading)
-        eachActive([&](auto ordinal, auto a) { flags.at(ordinal) = a; });
+        eachList();
     ar.count(components, "engine component count");
     for (auto &f : flags)
         ar.u8(f);
     if constexpr (Ar::loading)
-        eachActive([&](auto ordinal, auto &a) { a = flags.at(ordinal); });
+        eachList();
 }
 
 // ----------------------------------------------------------- whole system

@@ -142,6 +142,9 @@ class StateIO
     static void io(Ar &ar, T &tags);
     template <class Ar, Of<noc::Link> T>
     static void io(Ar &ar, Refs &refs, T &link);
+    /** One channel's in-flight entries; @p value transfers a payload. */
+    template <class Ar, class C, class Value>
+    static void channel(Ar &ar, C &ch, Value value);
     template <class Ar, Of<noc::Router> T>
     static void io(Ar &ar, Refs &refs, T &r);
     template <class Ar, Of<noc::NetworkInterface> T>

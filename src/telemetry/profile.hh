@@ -1,8 +1,8 @@
 /**
  * @file
  * Cycle-accounting profiler: attributes the execution engine's wall
- * time to per-cycle phases (parallel compute, barrier wait, commit,
- * serial slot, cycle-end callbacks), to individual shards of
+ * time to per-cycle phases (parallel compute, barrier wait, commit =
+ * trace replay, serial slot, cycle-end callbacks), to individual shards of
  * the parallel engine, and to component kinds under the sequential
  * engine.
  *
@@ -44,7 +44,7 @@ namespace stacknoc::telemetry {
 enum class EnginePhase : std::uint8_t {
     Compute = 0, //!< component ticks (main thread's own shard)
     Barrier,     //!< main thread waiting on worker shards
-    Commit,      //!< staged channel splice (+ trace replay if tracing)
+    Commit,      //!< trace replay (tracing only; empty otherwise)
     Serial,      //!< serial-affinity components (e.g. the RCA fabric)
     CycleEnd,    //!< cycle-end callbacks (probes, samplers) + clock
 };

@@ -208,6 +208,47 @@ TEST(Cli, ServeMalformedIntegerFlagExitsTwoWithOneLine)
     }
 }
 
+/** Every tool's integer flags go through cli::parseInt: the whole value
+ *  must be an in-range integer, or the tool exits 2 with one line naming
+ *  the flag. Before, `--watchdog abc` ran with the watchdog silently off
+ *  and `stacknoc_fuzz --jobs abc` fanned out to every hardware thread.
+ *  Every case is rejected while parsing, so nothing runs. */
+TEST(Cli, MalformedIntegerFlagExitsTwoWithOneLine)
+{
+    const std::pair<const char *, const char *> cases[] = {
+        {"stacknoc_run --watchdog abc", "--watchdog"},
+        {"stacknoc_run --watchdog -1", "--watchdog"},
+        {"stacknoc_run --trace-sample 0", "--trace-sample"},
+        {"stacknoc_run --heatmap-period 5x", "--heatmap-period"},
+        {"stacknoc_run --thermal-period ''", "--thermal-period"},
+        {"stacknoc_run --validate-period 1.5", "--validate-period"},
+        {"stacknoc_fuzz --jobs abc", "--jobs"},
+        {"stacknoc_fuzz --runs -3", "--runs"},
+        {"stacknoc_fuzz --seed 12x", "--seed"},
+        {"stacknoc_fuzz --threads 0", "--threads"},
+        {"stacknoc_sweep --seeds 0", "--seeds"},
+        {"stacknoc_sweep --jobs two", "--jobs"},
+        {"stacknoc_sweep --speedup-threads 1", "--speedup-threads"},
+        {"stacknoc_sweep --connect-retries -2", "--connect-retries"},
+        {"stacknoc_sweep --connect-backoff-ms 1e3", "--connect-backoff-ms"},
+        {"stacknoc_client --connect-retries x status", "--connect-retries"},
+        {"stacknoc_client --connect-backoff-ms 9999999999 status",
+         "--connect-backoff-ms"},
+    };
+    for (const auto &[cmd, flag] : cases) {
+        const std::string line = cmd;
+        const std::size_t space = line.find(' ');
+        std::string out;
+        const int rc =
+            runTool(line.substr(0, space), line.substr(space + 1), &out);
+        ASSERT_TRUE(WIFEXITED(rc)) << cmd;
+        EXPECT_EQ(WEXITSTATUS(rc), 2) << cmd << ": " << out;
+        EXPECT_NE(out.find(flag), std::string::npos) << cmd << ": " << out;
+        EXPECT_EQ(out.find('\n'), out.size() - 1)
+            << cmd << ": want one line, got: " << out;
+    }
+}
+
 TEST(Cli, MalformedFaultSpecFailsWithGrammar)
 {
     std::string out;

@@ -92,7 +92,7 @@ TEST(Params, VnetLayout)
 TEST(Topology, NeighborsAndOpposites)
 {
     const MeshShape shape(8, 8, 2);
-    noc::Topology topo(shape, 1, 1);
+    noc::Topology topo(shape, 1, 1, 30);
     EXPECT_EQ(topo.neighbor(0, Dir::East), 1);
     EXPECT_EQ(topo.neighbor(0, Dir::West), kInvalidNode);
     EXPECT_EQ(topo.neighbor(0, Dir::North), kInvalidNode);
@@ -108,7 +108,7 @@ TEST(Topology, NeighborsAndOpposites)
 TEST(Topology, LinksExistExactlyWhereNeighborsAre)
 {
     const MeshShape shape(4, 4, 2);
-    noc::Topology topo(shape, 1, 1);
+    noc::Topology topo(shape, 1, 1, 30);
     for (NodeId n = 0; n < shape.totalNodes(); ++n) {
         for (int d = 1; d < noc::kNumDirs; ++d) {
             const Dir dir = static_cast<Dir>(d);
@@ -122,7 +122,7 @@ TEST(Topology, LinksExistExactlyWhereNeighborsAre)
 TEST(Topology, WidenDownLink)
 {
     const MeshShape shape(4, 4, 2);
-    noc::Topology topo(shape, 1, 1);
+    noc::Topology topo(shape, 1, 1, 30);
     EXPECT_EQ(topo.linkOut(5, Dir::Down)->bandwidth, 1);
     topo.widenDownLink(5, 2);
     EXPECT_EQ(topo.linkOut(5, Dir::Down)->bandwidth, 2);
@@ -133,7 +133,7 @@ TEST(ZxyRouting, PaperExample)
     // Core 63 -> cache 0 with Z-X-Y: down to 127, X to 120, Y to 64.
     const MeshShape shape(8, 8, 2);
     noc::ZxyRouting routing(shape);
-    noc::Topology topo(shape, 1, 1);
+    noc::Topology topo(shape, 1, 1, 30);
     auto pkt = noc::makePacket(PacketClass::ReadReq, 63, 64);
     NodeId here = 63;
     std::vector<NodeId> path{here};
@@ -153,7 +153,7 @@ TEST(ZxyRouting, AllPairsTerminateMinimally)
 {
     const MeshShape shape(8, 8, 2);
     noc::ZxyRouting routing(shape);
-    noc::Topology topo(shape, 1, 1);
+    noc::Topology topo(shape, 1, 1, 30);
     for (NodeId s = 0; s < shape.totalNodes(); ++s) {
         for (NodeId d = 0; d < shape.totalNodes(); ++d) {
             auto pkt = noc::makePacket(PacketClass::ReadReq, s, d);

@@ -5,8 +5,9 @@
  * stats, no channel pushes — until an external wake re-arms it. These
  * tests prove the property per component kind (tick a quiescent
  * component anyway and verify nothing changed), and unit-test the wake
- * plumbing: channel pushes wake their receiver (immediate and staged),
- * and every mutating component entry point wakes conservatively.
+ * plumbing: channel pushes wake their receiver (through the active flag
+ * when no wake stamp is bound, else through the next cycle's stamp
+ * bit), and every mutating component entry point wakes conservatively.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +18,9 @@
 
 #include "coherence/l1_cache.hh"
 #include "coherence/l2_bank.hh"
+#include "engine/engine.hh"
 #include "engine/shard_plan.hh"
+#include "engine/wake_set.hh"
 #include "mem/memory_controller.hh"
 #include "noc/network.hh"
 #include "noc/routing.hh"
@@ -65,7 +68,7 @@ TEST(Wake, ImmediatePushWakesReceiverAtPushTime)
     std::uint8_t flag = 0;
     recv.bindWakeFlag(&flag);
 
-    Channel<int> ch(1);
+    Channel<int> ch(1, 8);
     ch.setWakeTarget(&recv);
     ch.push(0, 42);
     EXPECT_EQ(flag, 1);
@@ -76,26 +79,113 @@ TEST(Wake, ImmediatePushWakesReceiverAtPushTime)
     EXPECT_EQ(flag, 0) << "unbound flag must not be written";
 }
 
-TEST(Wake, StagedPushWakesAtCommitNotAtPush)
+TEST(Wake, PushStampsTheNextCycleAndNeverLosesAWake)
 {
     StubComponent recv;
-    std::uint8_t flag = 0;
-    recv.bindWakeFlag(&flag);
+    const std::vector<engine::ShardItem> items{{&recv}};
+    engine::WakeSet ws(1);
+    ws.bind(items, true);
+    ws.active[0] = 0; // asleep
 
-    Channel<int> ch(1);
-    ch.setWakeTarget(&recv);
+    Channel<int> fast(1, 8), slow(2, 8);
+    fast.setWakeTarget(&recv);
+    slow.setWakeTarget(&recv);
 
-    std::vector<ChannelBase *> enrolled;
-    ChannelBase::setStagingList(&enrolled);
-    ch.push(0, 42);
-    ChannelBase::setStagingList(nullptr);
-    EXPECT_EQ(flag, 0) << "staged push must defer the wake to commit";
-    ASSERT_EQ(enrolled.size(), 1u);
+    // Cycle 4: pushes of either latency stamp cycle 5 and leave the
+    // active flag, which another thread may own, alone.
+    slow.push(4, 1);
+    fast.push(4, 2);
+    EXPECT_EQ(ws.active[0], 0) << "a push must not write the active flag";
+    EXPECT_EQ(ws.stamp[0].load(), Ticking::wakeBit(5));
+    EXPECT_TRUE(ws.awake(0)) << "a checkpoint must fold the stamp in";
+    EXPECT_FALSE(ws.due(0, Ticking::wakeBit(4))) << "woken a cycle early";
 
-    enrolled.front()->commitStaged();
-    EXPECT_EQ(flag, 1) << "commitStaged must wake the receiver";
-    EXPECT_TRUE(ch.receive(1).has_value());
-    recv.unbindWakeFlag(&flag);
+    // Cycle 5: a push stamps cycle 6 while the walk consumes cycle 5's
+    // bit, in either order; neither wake is lost.
+    fast.push(5, 3);
+    EXPECT_TRUE(ws.due(0, Ticking::wakeBit(5)));
+    EXPECT_EQ(ws.stamp[0].load(), Ticking::wakeBit(6));
+    EXPECT_TRUE(ws.due(0, Ticking::wakeBit(6)));
+    EXPECT_EQ(ws.stamp[0].load(), 0);
+    EXPECT_FALSE(ws.due(0, Ticking::wakeBit(7)));
+    ws.bind(items, false);
+}
+
+/**
+ * A sleeping receiver fed by an L=1 and an L=2 channel from senders on
+ * other shards. Each value must be received exactly at push + L, with
+ * the receiver asleep in between, at every thread count. The pushes
+ * mix latencies so that wakes for the same and for adjacent cycles
+ * come from both channels at once.
+ */
+TEST(Wake, MixedLatencyWakesDeliverOnTimeAtEveryThreadCount)
+{
+    struct Sender : Ticking
+    {
+        Sender(Channel<int> &out, std::vector<Cycle> at)
+            : Ticking("sender"), out_(out), at_(std::move(at))
+        {}
+        void tick(Cycle now) override
+        {
+            for (const Cycle c : at_) {
+                if (c == now)
+                    out_.push(now, static_cast<int>(now));
+            }
+        }
+        Channel<int> &out_;
+        std::vector<Cycle> at_;
+    };
+    struct Receiver : Ticking
+    {
+        Receiver() : Ticking("receiver") {}
+        void tick(Cycle now) override
+        {
+            ++ticks;
+            while (auto v = fast.receive(now))
+                got.push_back({*v, now, 1});
+            while (auto v = slow.receive(now))
+                got.push_back({*v, now, 2});
+        }
+        bool quiescent(Cycle now) const override
+        {
+            return fast.inFlight(now) == 0 && slow.inFlight(now) == 0;
+        }
+        Channel<int> fast{1, 8}, slow{2, 8};
+        struct Got
+        {
+            int pushed;
+            Cycle at;
+            Cycle latency;
+        };
+        std::vector<Got> got;
+        int ticks = 0;
+    };
+
+    const std::vector<Cycle> slowAt{10, 20, 21, 40, 50};
+    const std::vector<Cycle> fastAt{11, 20, 30, 41, 51};
+    for (const int threads : {1, 2, 3}) {
+        Simulator sim;
+        Receiver recv;
+        Sender s1(recv.slow, slowAt), s2(recv.fast, fastAt);
+        recv.fast.setWakeTarget(&recv);
+        recv.slow.setWakeTarget(&recv);
+        sim.add(&recv, 0);
+        sim.add(&s1, 1);
+        sim.add(&s2, 2);
+        auto eng = engine::makeEngine(sim, threads);
+        eng->run(60);
+
+        ASSERT_EQ(recv.got.size(), slowAt.size() + fastAt.size())
+            << "threads=" << threads;
+        for (const auto &g : recv.got) {
+            EXPECT_EQ(g.at, static_cast<Cycle>(g.pushed) + g.latency)
+                << "threads=" << threads << " pushed=" << g.pushed
+                << " L=" << g.latency;
+        }
+        // One tick at cycle 0, then only the cycles after a push (the
+        // wake) and the arrivals the receiver stays awake for.
+        EXPECT_LT(recv.ticks, 25) << "threads=" << threads;
+    }
 }
 
 TEST(Wake, UnbindOnlyClearsMatchingFlag)

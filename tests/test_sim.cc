@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <sstream>
 #include <thread>
@@ -19,7 +20,7 @@ namespace {
 
 TEST(Channel, LatencyOne)
 {
-    Channel<int> ch(1);
+    Channel<int> ch(1, 8);
     ch.push(10, 7);
     EXPECT_FALSE(ch.receive(10).has_value());
     auto v = ch.receive(11);
@@ -30,7 +31,7 @@ TEST(Channel, LatencyOne)
 
 TEST(Channel, LatencyThree)
 {
-    Channel<int> ch(3);
+    Channel<int> ch(3, 8);
     ch.push(0, 1);
     EXPECT_FALSE(ch.ready(2));
     EXPECT_TRUE(ch.ready(3));
@@ -39,7 +40,7 @@ TEST(Channel, LatencyThree)
 
 TEST(Channel, FifoOrder)
 {
-    Channel<int> ch(1);
+    Channel<int> ch(1, 8);
     ch.push(0, 1);
     ch.push(0, 2);
     ch.push(1, 3);
@@ -51,7 +52,7 @@ TEST(Channel, FifoOrder)
 
 TEST(Channel, LateReceiveStillDelivers)
 {
-    Channel<int> ch(1);
+    Channel<int> ch(1, 8);
     ch.push(0, 9);
     EXPECT_EQ(*ch.receive(100), 9);
 }
@@ -245,12 +246,12 @@ TEST(Stats, DistributionBadEdgesPanic)
 
 TEST(Channel, ZeroLatencyPanics)
 {
-    EXPECT_DEATH(Channel<int>(0), "latency must be");
+    EXPECT_DEATH(Channel<int>(0, 8), "latency must be");
 }
 
 TEST(Channel, StressInterleavedPushReceive)
 {
-    Channel<int> ch(2);
+    Channel<int> ch(2, 8);
     int received = 0, sent = 0;
     for (Cycle t = 0; t < 1000; ++t) {
         if (t % 3 == 0) {
@@ -265,6 +266,87 @@ TEST(Channel, StressInterleavedPushReceive)
     }
     EXPECT_GT(received, 300);
     EXPECT_EQ(ch.inFlight(), static_cast<std::size_t>(sent - received));
+}
+
+TEST(Channel, InFlightExcludesSameCyclePushes)
+{
+    Channel<int> ch(2, 8);
+    ch.push(4, 1);
+    ch.push(5, 2);
+    ch.push(5, 3);
+    // During cycle 5 the receiver may count only the cycle-4 push: the
+    // cycle-5 ones could be racing in from another thread.
+    EXPECT_EQ(ch.inFlight(5), 1u);
+    EXPECT_EQ(ch.inFlight(6), 3u);
+    EXPECT_EQ(ch.inFlight(), 3u);
+    EXPECT_EQ(*ch.receive(6), 1);
+    EXPECT_EQ(ch.inFlight(6), 2u);
+    EXPECT_EQ(ch.inFlight(5), 0u);
+}
+
+TEST(Channel, PushPastCapacityPanics)
+{
+    // The capacity is the proven bound, not the power-of-two ring size.
+    Channel<int> ch(1, 3);
+    EXPECT_EQ(ch.capacity(), 3u);
+    for (int i = 0; i < 3; ++i)
+        ch.push(0, i);
+    EXPECT_DEATH(ch.push(0, 3), "Channel overflow");
+    // Receiving frees room again.
+    EXPECT_EQ(*ch.receive(1), 0);
+    ch.push(1, 3);
+    EXPECT_EQ(ch.inFlight(), 3u);
+}
+
+/**
+ * The SPSC contract across threads: a sender and a receiver thread step
+ * cycles in lockstep over a spin barrier, the sender pushing a varying
+ * number of values each cycle. Every value must arrive exactly at push
+ * + latency, in push order, however the two threads interleave within
+ * a cycle. Under ThreadSanitizer this also checks that the tail's
+ * release/acquire pair publishes each slot.
+ */
+TEST(Channel, TwoThreadLockstepDeliversAtPushPlusLatency)
+{
+    constexpr Cycle kCycles = 20000;
+    for (const Cycle latency : {Cycle{1}, Cycle{2}}) {
+        Channel<std::uint64_t> ch(latency, 8);
+        std::atomic<std::uint64_t> arrived{0};
+        // Cycle t ends when both threads have arrived 2(t + 1) times.
+        const auto barrier = [&](Cycle t) {
+            arrived.fetch_add(1, std::memory_order_acq_rel);
+            while (arrived.load(std::memory_order_acquire) < 2 * (t + 1))
+                std::this_thread::yield();
+        };
+
+        std::thread sender([&] {
+            std::uint64_t seq = 0;
+            for (Cycle t = 0; t < kCycles; ++t) {
+                for (Cycle k = 0; k < t % 3; ++k)
+                    ch.push(t, (t << 8) | (seq++ & 0xff));
+                barrier(t);
+            }
+        });
+
+        std::uint64_t expect = 0;
+        std::uint64_t received = 0;
+        bool ok = true;
+        for (Cycle t = 0; t < kCycles; ++t) {
+            while (auto v = ch.receive(t)) {
+                ok = ok && (*v >> 8) + latency == t &&
+                     (*v & 0xff) == (expect++ & 0xff);
+                ++received;
+            }
+            barrier(t);
+        }
+        sender.join();
+        EXPECT_TRUE(ok) << "latency " << latency;
+        // Everything pushed more than `latency` cycles before the end.
+        std::uint64_t pushed = 0;
+        for (Cycle t = 0; t + latency < kCycles; ++t)
+            pushed += t % 3;
+        EXPECT_EQ(received, pushed) << "latency " << latency;
+    }
 }
 
 } // namespace

@@ -161,7 +161,7 @@ TEST(RegionRouting, RestrictedRequestsDescendOnlyAtTsbs)
 {
     RegionMap rm(kShape, RegionConfig{4, TsbPlacement::Corner});
     sttnoc::RegionRouting routing(rm);
-    noc::Topology topo(kShape, 1, 1);
+    noc::Topology topo(kShape, 1, 1, 30);
 
     std::set<NodeId> tsb_cores;
     for (int r = 0; r < rm.numRegions(); ++r)
@@ -192,7 +192,7 @@ TEST(RegionRouting, RestrictedPathPassesThroughParent)
     RegionMap rm(kShape, RegionConfig{4, TsbPlacement::Corner});
     ParentMap pm(rm, 2);
     sttnoc::RegionRouting routing(rm);
-    noc::Topology topo(kShape, 1, 1);
+    noc::Topology topo(kShape, 1, 1, 30);
 
     for (NodeId core : {0, 7, 27, 46, 48, 63}) {
         for (NodeId cache = 64; cache < 128; ++cache) {

@@ -20,9 +20,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 
+#include "common/cli.hh"
 #include "server/client.hh"
 #include "server/protocol.hh"
 #include "telemetry/json.hh"
@@ -136,6 +138,7 @@ main(int argc, char **argv)
     double watchSec = -1.0;
     int connectRetries = 0;
     int connectBackoffMs = 100;
+    constexpr int kIntMax = std::numeric_limits<int>::max();
     stacknoc::system::RunSpec spec;
 
     int i = 1;
@@ -158,9 +161,13 @@ main(int argc, char **argv)
         } else if (arg == "--socket") {
             socketPath = need("--socket");
         } else if (arg == "--connect-retries") {
-            connectRetries = std::atoi(need("--connect-retries"));
+            connectRetries = stacknoc::cli::parseInt(
+                argv[0], "--connect-retries", need("--connect-retries"), 0,
+                kIntMax);
         } else if (arg == "--connect-backoff-ms") {
-            connectBackoffMs = std::atoi(need("--connect-backoff-ms"));
+            connectBackoffMs = stacknoc::cli::parseInt(
+                argv[0], "--connect-backoff-ms",
+                need("--connect-backoff-ms"), 0, kIntMax);
         } else if (arg == "--watch") {
             watchSec = std::atof(need("--watch"));
             if (watchSec <= 0) {

@@ -27,6 +27,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <mutex>
 #include <random>
 #include <string>
@@ -389,25 +390,26 @@ main(int argc, char **argv)
             usage();
         return std::string(argv[i + 1]);
     };
+    constexpr int kIntMax = std::numeric_limits<int>::max();
+    const auto num = [&](int &i, const char *flag, auto lo, auto hi) {
+        return cli::parseInt("stacknoc_fuzz", flag, need(i++).c_str(), lo,
+                             hi);
+    };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--runs") {
-            runs = std::atoi(need(i).c_str()); ++i;
+            runs = num(i, "--runs", 0, kIntMax);
         } else if (arg == "--seed") {
-            master_seed = std::strtoull(need(i).c_str(), nullptr, 10);
-            ++i;
+            master_seed = num(i, "--seed", std::uint64_t{0},
+                              std::numeric_limits<std::uint64_t>::max());
         } else if (arg == "--out") {
             out_prefix = need(i); ++i;
         } else if (arg == "--replay") {
             replay_path = need(i); ++i;
         } else if (arg == "--threads") {
-            g_threads = std::atoi(need(i).c_str());
-            fatal_if(g_threads < 1, "--threads must be >= 1");
-            ++i;
+            g_threads = num(i, "--threads", 1, kIntMax);
         } else if (arg == "--jobs") {
-            jobs = std::atoi(need(i).c_str());
-            fatal_if(jobs < 0, "--jobs must be >= 0");
-            ++i;
+            jobs = num(i, "--jobs", 0, kIntMax);
         } else if (arg == "--faults") {
             with_faults = true;
         } else if (arg == "--one") {

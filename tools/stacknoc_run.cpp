@@ -19,6 +19,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -126,6 +127,11 @@ main(int argc, char **argv)
             usage();
         return std::string(argv[i + 1]);
     };
+    // An integer flag's value (consumed, so i moves past it), >= lo.
+    const auto num = [&](int &i, const char *flag, auto lo) {
+        return cli::parseInt("stacknoc_run", flag, need(i++).c_str(), lo,
+                             std::numeric_limits<decltype(lo)>::max());
+    };
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -142,9 +148,7 @@ main(int argc, char **argv)
         } else if (arg == "--trace") {
             trace_path = need(i); ++i;
         } else if (arg == "--trace-sample") {
-            trace_sample = std::strtoull(need(i).c_str(), nullptr, 10);
-            fatal_if(trace_sample == 0, "--trace-sample must be >= 1");
-            ++i;
+            trace_sample = num(i, "--trace-sample", std::uint64_t{1});
         } else if (arg == "--profile") {
             cfg.profile = true;
         } else if (arg == "--chrome-trace") {
@@ -155,36 +159,23 @@ main(int argc, char **argv)
         } else if (arg == "--heatmap") {
             heatmap_prefix = need(i); ++i;
         } else if (arg == "--heatmap-period") {
-            heatmap_period = std::strtoull(need(i).c_str(), nullptr, 10);
-            fatal_if(heatmap_period == 0,
-                     "--heatmap-period must be >= 1");
-            ++i;
+            heatmap_period = num(i, "--heatmap-period", Cycle{1});
         } else if (arg == "--power") {
             cfg.power = true;
         } else if (arg == "--thermal") {
             cfg.thermal = true;
             cfg.power = true;
         } else if (arg == "--thermal-period") {
-            cfg.powerPeriod =
-                std::strtoull(need(i).c_str(), nullptr, 10);
-            fatal_if(cfg.powerPeriod == 0,
-                     "--thermal-period must be >= 1");
-            ++i;
+            cfg.powerPeriod = num(i, "--thermal-period", Cycle{1});
         } else if (arg == "--progress") {
             cfg.progress = true;
         } else if (arg == "--validate") {
             cfg.validate = true;
         } else if (arg == "--validate-period") {
-            cfg.validation.period =
-                std::strtoull(need(i).c_str(), nullptr, 10);
-            fatal_if(cfg.validation.period == 0,
-                     "--validate-period must be >= 1");
+            cfg.validation.period = num(i, "--validate-period", Cycle{1});
             cfg.validate = true;
-            ++i;
         } else if (arg == "--watchdog") {
-            watchdog_opt = std::strtoll(need(i).c_str(), nullptr, 10);
-            fatal_if(watchdog_opt < 0, "--watchdog must be >= 0");
-            ++i;
+            watchdog_opt = num(i, "--watchdog", 0ll);
         } else if (arg == "--timeout-sec") {
             timeout_sec = std::strtod(need(i).c_str(), nullptr);
             fatal_if(timeout_sec <= 0.0, "--timeout-sec must be > 0");

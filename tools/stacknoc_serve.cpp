@@ -12,16 +12,15 @@
  * server spawns its pool that way, so there is exactly one binary.
  */
 
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <limits>
 #include <string>
 
 #include <unistd.h>
 
+#include "common/cli.hh"
 #include "server/server.hh"
 #include "server/worker.hh"
 
@@ -114,19 +113,8 @@ main(int argc, char **argv)
         };
         // An integer flag: the whole value, in [lo, hi], or exit 2.
         const auto num = [&](const char *what, auto lo, auto hi) {
-            const char *text = need(what);
-            const char *end = text + std::strlen(text);
-            decltype(lo) v{};
-            const auto [ptr, ec] = std::from_chars(text, end, v);
-            if (ec != std::errc{} || ptr != end || v < lo || v > hi) {
-                std::fprintf(stderr,
-                             "%s: %s needs an integer in [%s, %s], got "
-                             "'%s'\n",
-                             argv[0], what, std::to_string(lo).c_str(),
-                             std::to_string(hi).c_str(), text);
-                std::exit(2);
-            }
-            return v;
+            return stacknoc::cli::parseInt(argv[0], what, need(what), lo,
+                                           hi);
         };
         if (arg == "--socket") {
             socketPath = need("--socket");

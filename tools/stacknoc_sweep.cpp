@@ -28,6 +28,7 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -465,6 +466,11 @@ main(int argc, char **argv)
             usage();
         return std::string(argv[i + 1]);
     };
+    // An int flag's value (consumed, so i moves past it), >= lo.
+    const auto num = [&](int &i, const char *flag, int lo) {
+        return cli::parseInt("stacknoc_sweep", flag, need(i++).c_str(), lo,
+                             std::numeric_limits<int>::max());
+    };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--schemes") {
@@ -480,14 +486,12 @@ main(int argc, char **argv)
         } else if (arg == "--mixes") {
             opt.mixes = splitList(need(i), ':'); ++i;
         } else if (arg == "--seeds") {
-            opt.seeds = std::atoi(need(i).c_str());
-            fatal_if(opt.seeds < 1, "--seeds must be >= 1");
-            ++i;
+            opt.seeds = num(i, "--seeds", 1);
         } else if (arg == "--cycles" || arg == "--warmup" ||
                    arg == "--threads") {
             specArg(opt.base.set(arg, need(i))); ++i;
         } else if (arg == "--jobs") {
-            opt.jobs = std::atoi(need(i).c_str()); ++i;
+            opt.jobs = num(i, "--jobs", 0);
         } else if (arg == "--runner") {
             opt.runner = need(i); ++i;
         } else if (arg == "--out") {
@@ -495,10 +499,7 @@ main(int argc, char **argv)
         } else if (arg == "--speedup-scenario") {
             opt.speedupScenario = need(i); ++i;
         } else if (arg == "--speedup-threads") {
-            opt.speedupThreads = std::atoi(need(i).c_str());
-            fatal_if(opt.speedupThreads < 2,
-                     "--speedup-threads must be >= 2");
-            ++i;
+            opt.speedupThreads = num(i, "--speedup-threads", 2);
         } else if (arg == "--no-speedup") {
             opt.speedup = false;
         } else if (arg == "--no-profile") {
@@ -510,9 +511,9 @@ main(int argc, char **argv)
         } else if (arg == "--server") {
             opt.server = need(i); ++i;
         } else if (arg == "--connect-retries") {
-            opt.connectRetries = std::atoi(need(i).c_str()); ++i;
+            opt.connectRetries = num(i, "--connect-retries", 0);
         } else if (arg == "--connect-backoff-ms") {
-            opt.connectBackoffMs = std::atoi(need(i).c_str()); ++i;
+            opt.connectBackoffMs = num(i, "--connect-backoff-ms", 0);
         } else {
             cli::reportUnknownOption("stacknoc_sweep", arg,
                                      kKnownOptions);
