@@ -12,10 +12,11 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
+#include "common/cli.hh"
 #include "common/logging.hh"
 #include "noc/packet.hh"
 #include "system/cmp_system.hh"
@@ -71,12 +72,15 @@ main(int argc, char **argv)
             fatal_if(at + 1 >= argc, "%s needs a value", argv[at]);
             return argv[at + 1];
         };
+        // An integer flag's value, in [lo, max], or exit 2.
+        const auto num = [&](const char *flag, auto lo) {
+            return cli::parseInt("bench_ticks", flag, need(i++), lo,
+                                 std::numeric_limits<decltype(lo)>::max());
+        };
         if (arg == "--cycles") {
-            cycles = std::strtoull(need(i), nullptr, 10);
-            ++i;
+            cycles = num("--cycles", Cycle{1});
         } else if (arg == "--warmup") {
-            warmup = std::strtoull(need(i), nullptr, 10);
-            ++i;
+            warmup = num("--warmup", Cycle{0});
         } else if (arg == "--scenario") {
             if (!system::scenarios::byName(need(i), scenario)) {
                 std::fprintf(stderr,
@@ -87,13 +91,12 @@ main(int argc, char **argv)
             }
             ++i;
         } else if (arg == "--threads") {
-            threads = std::atoi(need(i));
-            fatal_if(threads < 1, "--threads must be >= 1");
-            ++i;
+            threads = num("--threads", 1);
         } else if (arg == "--check") {
             check = true;
         } else if (arg == "--tolerance") {
-            tolerance = std::strtod(need(i), nullptr);
+            tolerance = cli::parseNumber("bench_ticks", "--tolerance",
+                                         need(i), 0.0);
             ++i;
         } else {
             std::fprintf(stderr, "bench_ticks: unknown option '%s'\n",

@@ -2,13 +2,15 @@
  * @file
  * Small command-line helpers shared by the tools: unknown-flag
  * suggestions ("did you mean --cycles?") so typos fail loudly instead
- * of being silently ignored, and whole-value integer flag parsing.
+ * of being silently ignored, and whole-value integer and number flag
+ * parsing.
  */
 
 #ifndef STACKNOC_COMMON_CLI_HH
 #define STACKNOC_COMMON_CLI_HH
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -58,6 +60,29 @@ parseInt(const char *tool, const char *flag, const char *text, T lo, T hi)
                      "%s: %s needs an integer in [%s, %s], got '%s'\n", tool,
                      flag, std::to_string(lo).c_str(),
                      std::to_string(hi).c_str(), text);
+        std::exit(2);
+    }
+    return v;
+}
+
+/**
+ * The value @p text of number flag @p flag: the whole string must be a
+ * finite decimal number (no `nan`, `inf`, suffix or spaces) at least
+ * @p lo, or above it when @p loExclusive. Anything else prints one
+ * line, "<tool>: <flag> needs a finite number >= lo, got '<text>'" (or
+ * "> lo"), and exits 2, the number twin of parseInt.
+ */
+inline double
+parseNumber(const char *tool, const char *flag, const char *text, double lo,
+            bool loExclusive = false)
+{
+    const char *end = text + std::strlen(text);
+    double v = 0.0;
+    const auto [ptr, ec] = std::from_chars(text, end, v);
+    if (ec != std::errc{} || ptr != end || !std::isfinite(v) || v < lo ||
+        (loExclusive && v == lo)) {
+        std::fprintf(stderr, "%s: %s needs a finite number %s %g, got '%s'\n",
+                     tool, flag, loExclusive ? ">" : ">=", lo, text);
         std::exit(2);
     }
     return v;

@@ -25,22 +25,16 @@
  * forced cold in case the warm checkpoint itself is the poison; the
  * client still sees exactly one result or one final error carrying the
  * attempt history. --max-queue bounds the queue, shedding load with a
- * structured retry_after_ms error (HTTP 503), and SIGTERM drains
- * gracefully: finish accepted jobs, seal the store, reject new
- * submissions. --chaos injects worker-side failures to prove all of
- * this (see server/chaos.hh).
+ * structured retry_after_ms error, and SIGTERM drains gracefully:
+ * finish accepted jobs, seal the store, reject new submissions.
+ * --chaos injects worker-side failures to prove all of this (see
+ * server/chaos.hh).
  *
- * Fleet observability (docs/SERVER.md "Observability"): a
- * MetricsRegistry counts jobs, queueing, cache, checkpoint, store,
- * retry and worker health; an EventLog (--log-json) records every
- * job's lifecycle as NDJSON; and an optional HTTP front end (--http
- * PORT) serves GET /metrics (Prometheus text exposition), GET /status
- * (JSON) and POST /run (RunSpec JSON) to off-host clients beside
- * the socket. All of it is observer-only with respect to simulation:
- * the workers' result payloads and stats digests are byte-identical
- * with every observability feature on or off.
+ * The "status" command is the server's one counter surface
+ * (docs/SERVER.md "Status"): every job, cache, checkpoint, store,
+ * retry and worker count is a plain member, printed there.
  *
- * Single-threaded: one poll() loop owns the listeners, every client
+ * Single-threaded: one poll() loop owns the listener, every client
  * connection, every worker pipe and the signal self-pipe. Workers are
  * separate processes, so the loop only shuttles lines; a worker crash
  * retries its job and the worker is respawned.
@@ -49,6 +43,7 @@
 #ifndef STACKNOC_SERVER_SERVER_HH
 #define STACKNOC_SERVER_SERVER_HH
 
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -58,14 +53,12 @@
 #include <sys/types.h>
 
 #include "server/chaos.hh"
-#include "server/metrics.hh"
-#include "server/oblog.hh"
 #include "server/protocol.hh"
 #include "server/result_store.hh"
 
 namespace stacknoc::server {
 
-/** Human-facing server version, reported in status and /metrics. */
+/** Human-facing server version, reported in status. */
 constexpr const char *kServerVersion = "1.2";
 
 class CampaignServer
@@ -81,12 +74,6 @@ class CampaignServer
         std::uint64_t ckptCapBytes = 0;
         /** Executable to spawn workers from (this binary). */
         std::string workerExe;
-        /** TCP port for the HTTP front end (-1 off, 0 ephemeral). */
-        int httpPort = -1;
-        /** Job-lifecycle NDJSON log path ("" disables). */
-        std::string logJsonPath;
-        /** Log rotation cap in bytes (0 = EventLog default). */
-        std::uint64_t logRotateBytes = 0;
         /** Durable result store directory ("" disables). */
         std::string storeDir;
         /** Queue bound; submissions beyond it are shed (0 = none). */
@@ -107,28 +94,17 @@ class CampaignServer
     CampaignServer(const CampaignServer &) = delete;
     CampaignServer &operator=(const CampaignServer &) = delete;
 
-    /** Bind the socket(s) and spawn the worker pool. */
+    /** Bind the socket and spawn the worker pool. */
     bool start(std::string &err);
 
     /** Serve until a shutdown command. @return process exit code. */
     int run();
 
-    /** Actual HTTP port after start() (-1 when disabled). */
-    int httpPort() const { return httpPort_; }
-
   private:
-    enum class Transport { Unix, Http };
-
     struct Client
     {
         int fd = -1;
         std::string inBuf;
-    };
-    struct HttpClient
-    {
-        int fd = -1;
-        std::string inBuf;
-        bool jobPending = false; //!< response deferred to job end
     };
     struct Worker
     {
@@ -138,14 +114,11 @@ class CampaignServer
         std::string outBuf;
         bool busy = false;
         std::uint64_t jobId = 0;
-        std::uint64_t busySinceUs = 0; //!< monoUs() at dispatch
-        std::uint64_t busyAccumUs = 0; //!< total busy time, past jobs
-        bool deadlineKilled = false;   //!< killed by the job watchdog
+        bool deadlineKilled = false; //!< killed by the job watchdog
     };
     struct Job
     {
         std::uint64_t id = 0;
-        Transport transport = Transport::Unix;
         int clientFd = -1;
         std::uint64_t key = 0;
         system::RunSpec spec;
@@ -153,8 +126,6 @@ class CampaignServer
         bool forceCold = false; //!< final attempt skips warm restore
         /** One failure reason per exhausted attempt. */
         std::vector<std::string> history;
-        std::uint64_t submitUs = 0;    //!< monoUs() at submission
-        std::uint64_t dispatchUs = 0;  //!< monoUs() at dispatch
         std::uint64_t notBeforeUs = 0; //!< retry backoff gate
         std::uint64_t deadlineUs = 0;  //!< watchdog kill time (0 none)
     };
@@ -163,18 +134,10 @@ class CampaignServer
     void dispatchJobs();
     void handleClientLine(Client &c, const std::string &line);
     void handleWorkerLine(Worker &w, const std::string &line);
-    void handleHttpClient(HttpClient &h);
-    void handleHttpRequest(HttpClient &h, const std::string &method,
-                           const std::string &path,
-                           const std::string &body);
-    /** Validate+enqueue one run request. Shared by socket and HTTP. */
-    void submitRun(const telemetry::JsonValue &doc, Transport transport,
-                   int clientFd);
-    void finishHttpJob(int fd, int status, const std::string &body);
+    /** Validate and enqueue one run request. */
+    void submitRun(const telemetry::JsonValue &doc, int clientFd);
     void sendToClient(int fd, const std::string &line);
-    void sendRaw(int fd, const std::string &bytes);
     void closeClient(int fd);
-    void closeHttpClient(int fd);
     void killWorkers();
     void onWorkerDeath(Worker &w);
 
@@ -188,13 +151,8 @@ class CampaignServer
     void checkDeadlines();
     /** poll() timeout to the next backoff or deadline (-1 = none). */
     int pollTimeoutMs() const;
-    /** Stop accepting jobs; run() exits once the queue drains. */
-    void beginDrain();
 
-    /** Refresh point-in-time gauges before a scrape or status. */
-    void refreshGauges();
-    std::string statusJson();
-    std::string renderMetrics();
+    std::string statusJson() const;
     void enforceCkptCap();
 
     /** Microseconds since start() on the steady clock. */
@@ -202,19 +160,17 @@ class CampaignServer
 
     Options opt_;
     int listenFd_ = -1;
-    int httpListenFd_ = -1;
-    int httpPort_ = -1;
     int sigFd_ = -1; //!< read end of the SIGTERM self-pipe
     std::vector<Worker> workers_;
     std::map<int, Client> clients_;
-    std::map<int, HttpClient> httpClients_;
     std::deque<Job> queue_;
     /** In-flight jobs by id (owner lookup for worker events). */
     std::map<std::uint64_t, Job> inflight_;
     /** Completed results: cache key digest -> result "data" JSON. */
     std::map<std::uint64_t, std::string> cache_;
-    std::uint64_t cacheBytes_ = 0;
     std::uint64_t nextJobId_ = 1;
+    // The status counters (docs/SERVER.md "Status").
+    std::uint64_t submitted_ = 0;
     std::uint64_t completed_ = 0;
     std::uint64_t failed_ = 0;
     std::uint64_t retried_ = 0;
@@ -222,13 +178,16 @@ class CampaignServer
     std::uint64_t deadlineKills_ = 0;
     std::uint64_t cacheHits_ = 0;
     std::uint64_t respawns_ = 0;
+    std::uint64_t ckptRestores_ = 0;
+    std::uint64_t ckptColdWarms_ = 0;
+    std::uint64_t ckptSaves_ = 0;
+    std::uint64_t ckptFallbacks_ = 0;
+    std::uint64_t ckptEvictions_ = 0;
     bool shutdown_ = false;
     bool draining_ = false;
     std::chrono::steady_clock::time_point startTp_{};
 
     ResultStore store_;
-    MetricsRegistry metrics_;
-    EventLog log_;
 };
 
 } // namespace stacknoc::server

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstring>
@@ -34,16 +33,6 @@ emit(std::ostream &out, const std::string &line)
 {
     out << line << "\n";
     out.flush();
-}
-
-/** Wall microseconds between two steady-clock marks. */
-std::uint64_t
-usBetween(std::chrono::steady_clock::time_point a,
-          std::chrono::steady_clock::time_point b)
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(b - a)
-            .count());
 }
 
 void
@@ -124,14 +113,6 @@ runJob(std::ostream &out, std::uint64_t id, const system::RunSpec &spec,
             : std::filesystem::path(ckptDir) /
                   ("ckpt_" + hexKey(warmKey) + ".bin");
 
-    // Per-phase wall timings travel in a "timing" sibling of the result
-    // "data" member: the data payload stays deterministic (and cacheable
-    // byte-for-byte) while the server folds the timings into its phase
-    // histograms and lifecycle log.
-    using Clock = std::chrono::steady_clock;
-    std::uint64_t restoreUs = 0, warmUs = 0, measureUs = 0,
-                  publishUs = 0;
-
     bool warmRestored = false;
     bool warmSaved = false;
     Cycle restoredCycle = 0;
@@ -140,7 +121,6 @@ runJob(std::ostream &out, std::uint64_t id, const system::RunSpec &spec,
         // Open directly instead of probing with exists(): LRU eviction
         // can unlink the checkpoint at any moment, and a probe would
         // only widen that race. ENOENT is an ordinary miss.
-        const auto t0 = Clock::now();
         errno = 0;
         std::ifstream in(ckptPath, std::ios::binary);
         if (in) {
@@ -162,18 +142,14 @@ runJob(std::ostream &out, std::uint64_t id, const system::RunSpec &spec,
             fallbackReason = std::string("checkpoint open failed: ") +
                              std::strerror(errno);
         }
-        restoreUs = usBetween(t0, Clock::now());
     }
     if (!fallbackReason.empty())
         emitNote(out, id, "warm_fallback", fallbackReason);
     system::CmpSystem &sys = *sysPtr;
     if (!warmRestored) {
-        const auto t0 = Clock::now();
         sys.warmupBegin();
         sys.run(spec.warmup);
         sys.warmupEnd();
-        warmUs = usBetween(t0, Clock::now());
-        const auto tPub = Clock::now();
         if (!ckptPath.empty()) {
             const std::filesystem::path tmp =
                 ckptPath.string() + ".tmp." +
@@ -193,7 +169,6 @@ runJob(std::ostream &out, std::uint64_t id, const system::RunSpec &spec,
                           chaos.corruptCkpt))
                 corruptCheckpointPayload(ckptPath);
         }
-        publishUs = usBetween(tPub, Clock::now());
     }
 
     // Chaos draws are fixed before the measured phase so the kill/stall
@@ -208,7 +183,6 @@ runJob(std::ostream &out, std::uint64_t id, const system::RunSpec &spec,
     // Measured phase, chunked at the interval period so progress
     // streams out while the run is in flight. Chunked run() calls are
     // equivalent to one call — the engine has no run()-boundary state.
-    const auto tMeasure = Clock::now();
     Cycle done = 0;
     const Cycle step = spec.interval > 0 ? spec.interval : spec.cycles;
     while (done < spec.cycles) {
@@ -242,7 +216,6 @@ runJob(std::ostream &out, std::uint64_t id, const system::RunSpec &spec,
         }
     }
     sys.finalizeTelemetry();
-    measureUs = usBetween(tMeasure, Clock::now());
 
     const auto m = sys.metrics();
     std::ostringstream os;
@@ -250,14 +223,6 @@ runJob(std::ostream &out, std::uint64_t id, const system::RunSpec &spec,
     w.beginObject();
     w.kv("event", "result");
     w.kv("id", id);
-    w.key("timing");
-    w.beginObject();
-    w.kv("restore_us", restoreUs);
-    w.kv("warm_us", warmUs);
-    w.kv("measure_us", measureUs);
-    w.kv("publish_us", publishUs);
-    w.kv("end_cycle", static_cast<std::uint64_t>(sys.simulator().now()));
-    w.endObject();
     w.key("data");
     w.beginObject();
     w.kv("scenario", cfg.scenario.name);

@@ -7,6 +7,7 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <vector>
 
 #include "snapshot/state_io.hh"
 #include "system/cmp_system.hh"
@@ -236,10 +237,10 @@ ckptDirUsage(const std::string &dir)
     return usage;
 }
 
-std::vector<CkptEviction>
+std::uint64_t
 evictCheckpointsLru(const std::string &dir, std::uint64_t capBytes)
 {
-    std::vector<CkptEviction> evicted;
+    std::uint64_t evicted = 0;
     if (dir.empty())
         return evicted;
 
@@ -277,7 +278,7 @@ evictCheckpointsLru(const std::string &dir, std::uint64_t capBytes)
         if (!std::filesystem::remove(e.path, rec) || rec)
             continue; // a concurrent server got it first
         total -= e.bytes;
-        evicted.push_back({e.path.filename().string(), e.bytes});
+        ++evicted;
     }
     return evicted;
 }

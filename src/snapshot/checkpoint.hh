@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <vector>
 
 #include "common/types.hh"
 
@@ -106,20 +105,13 @@ struct CkptDirUsage
 /** Scan @p dir ("" or missing directory yields zeros). */
 CkptDirUsage ckptDirUsage(const std::string &dir);
 
-/** One eviction, for logging and accounting. */
-struct CkptEviction
-{
-    std::string file; //!< file name (not the full path)
-    std::uint64_t bytes = 0;
-};
-
 /**
  * Delete least-recently-written `ckpt_*.bin` entries in @p dir until
- * the aggregate size is <= @p capBytes. @return the evicted entries,
- * oldest first (empty when already under the cap or @p dir is "").
+ * the aggregate size is <= @p capBytes. @return how many were deleted
+ * (0 when already under the cap or @p dir is "").
  */
-std::vector<CkptEviction> evictCheckpointsLru(const std::string &dir,
-                                              std::uint64_t capBytes);
+std::uint64_t evictCheckpointsLru(const std::string &dir,
+                                  std::uint64_t capBytes);
 
 /**
  * Best-effort bump of @p path's write timestamp to now, marking a

@@ -182,9 +182,6 @@ TEST(Cli, ServeMalformedIntegerFlagExitsTwoWithOneLine)
     const std::pair<const char *, const char *> cases[] = {
         {"--workers 0", "--workers"},
         {"--workers 2x", "--workers"},
-        {"--http abc", "--http"},
-        {"--http -7", "--http"},
-        {"--http 65536", "--http"},
         {"--max-queue abc", "--max-queue"},
         {"--max-queue -1", "--max-queue"},
         {"--job-retries -1", "--job-retries"},
@@ -192,7 +189,6 @@ TEST(Cli, ServeMalformedIntegerFlagExitsTwoWithOneLine)
         {"--job-deadline-sec 99999999999", "--job-deadline-sec"},
         {"--ckpt-cap-bytes 1G", "--ckpt-cap-bytes"},
         {"--ckpt-cap-bytes -1", "--ckpt-cap-bytes"},
-        {"--log-rotate-bytes ''", "--log-rotate-bytes"},
         {"--chaos-seed 0x10", "--chaos-seed"},
     };
     for (const auto &[args, flag] : cases) {
@@ -206,13 +202,22 @@ TEST(Cli, ServeMalformedIntegerFlagExitsTwoWithOneLine)
         EXPECT_EQ(out.find('\n'), out.size() - 1)
             << args << ": want one line, got: " << out;
     }
+    // The HTTP front end is gone: --http is an unknown option now.
+    std::string out;
+    const int rc =
+        runTool("stacknoc_serve", "--socket never-bound.sock --http 0", &out);
+    ASSERT_TRUE(WIFEXITED(rc));
+    EXPECT_EQ(WEXITSTATUS(rc), 2) << out;
+    EXPECT_NE(out.find("unknown option '--http'"), std::string::npos) << out;
 }
 
-/** Every tool's integer flags go through cli::parseInt: the whole value
- *  must be an in-range integer, or the tool exits 2 with one line naming
- *  the flag. Before, `--watchdog abc` ran with the watchdog silently off
- *  and `stacknoc_fuzz --jobs abc` fanned out to every hardware thread.
- *  Every case is rejected while parsing, so nothing runs. */
+/** Every tool's integer flags go through cli::parseInt, and its number
+ *  flags through cli::parseNumber: the whole value must be an in-range
+ *  integer or a finite number, or the tool exits 2 with one line naming
+ *  the flag. Before, `--watchdog abc` ran with the watchdog silently off,
+ *  `stacknoc_fuzz --jobs abc` fanned out to every hardware thread and
+ *  `--timeout-sec 5x` ran with a 5-second timeout. Every case is
+ *  rejected while parsing, so nothing runs. */
 TEST(Cli, MalformedIntegerFlagExitsTwoWithOneLine)
 {
     const std::pair<const char *, const char *> cases[] = {
@@ -234,6 +239,24 @@ TEST(Cli, MalformedIntegerFlagExitsTwoWithOneLine)
         {"stacknoc_client --connect-retries x status", "--connect-retries"},
         {"stacknoc_client --connect-backoff-ms 9999999999 status",
          "--connect-backoff-ms"},
+        {"stacknoc_run --timeout-sec 5x", "--timeout-sec"},
+        {"stacknoc_run --timeout-sec abc", "--timeout-sec"},
+        {"stacknoc_run --timeout-sec nan", "--timeout-sec"},
+        {"stacknoc_run --timeout-sec inf", "--timeout-sec"},
+        {"stacknoc_run --timeout-sec -1", "--timeout-sec"},
+        {"stacknoc_run --timeout-sec 0", "--timeout-sec"},
+        {"stacknoc_client --watch 5x status", "--watch"},
+        {"stacknoc_client --watch abc status", "--watch"},
+        {"stacknoc_client --watch nan status", "--watch"},
+        {"stacknoc_client --watch inf status", "--watch"},
+        {"stacknoc_client --watch -1 status", "--watch"},
+        {"../bench/bench_ticks --tolerance 5x", "--tolerance"},
+        {"../bench/bench_ticks --tolerance abc", "--tolerance"},
+        {"../bench/bench_ticks --tolerance nan", "--tolerance"},
+        {"../bench/bench_ticks --tolerance inf", "--tolerance"},
+        {"../bench/bench_ticks --tolerance -1", "--tolerance"},
+        {"../bench/bench_ticks --threads 0", "--threads"},
+        {"../bench/bench_ticks --cycles 2k", "--cycles"},
     };
     for (const auto &[cmd, flag] : cases) {
         const std::string line = cmd;

@@ -24,7 +24,6 @@ SERVE CLIENT``.
 
 import json
 import os
-import re
 import shutil
 import signal
 import subprocess
@@ -44,38 +43,24 @@ LONG = [*BASE, "--cycles", "100000"]
 
 
 class Server:
-    """stacknoc_serve with the HTTP scrape on and extra chaos flags."""
+    """stacknoc_serve with a checkpoint dir and extra chaos flags."""
 
-    def __init__(self, extra=(), workers=1, http=True):
+    def __init__(self, extra=(), workers=1):
         self.dir = tempfile.mkdtemp(prefix="stacknoc_chaos_")
         self.socket = os.path.join(self.dir, "serve.sock")
-        self.log_path = os.path.join(self.dir, "events.ndjson")
         argv = [SERVE, "--socket", self.socket,
                 "--workers", str(workers),
-                "--ckpt-dir", os.path.join(self.dir, "ckpt"),
-                "--log-json", self.log_path, *extra]
-        if http:
-            argv += ["--http", "0"]
+                "--ckpt-dir", os.path.join(self.dir, "ckpt"), *extra]
         self.proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL,
                                      stderr=subprocess.PIPE, text=True)
-        self.port = None
-        stderr_lines = []
         deadline = time.time() + 10
-        while time.time() < deadline:
+        while not os.path.exists(self.socket):
             if self.proc.poll() is not None:
                 raise AssertionError(
-                    f"server died: {''.join(stderr_lines)}"
-                    f"{self.proc.stderr.read()}")
-            line = self.proc.stderr.readline()
-            stderr_lines.append(line)
-            m = re.search(r"http on port (\d+)", line)
-            if m:
-                self.port = int(m.group(1))
-            if os.path.exists(self.socket) and (self.port or not http):
-                break
-        else:
-            raise AssertionError(
-                f"server never came up: {''.join(stderr_lines)}")
+                    f"server died: {self.proc.stderr.read()}")
+            if time.time() > deadline:
+                raise AssertionError("server never came up")
+            time.sleep(0.05)
 
     def client(self, *args, expect_rc=0, timeout=240):
         proc = subprocess.run([CLIENT, "--socket", self.socket, *args],
@@ -95,20 +80,6 @@ class Server:
 
     def status(self):
         return events_of(self.client("status"), "status")[0]
-
-    def scrape(self):
-        import urllib.request
-        with urllib.request.urlopen(
-                f"http://127.0.0.1:{self.port}/metrics",
-                timeout=60) as resp:
-            text = resp.read().decode()
-        series = {}
-        for line in text.splitlines():
-            if line.startswith("#") or not line.strip():
-                continue
-            key, value = line.rsplit(None, 1)
-            series[key] = float(value)
-        return series
 
     def wait_status(self, pred, timeout=60):
         deadline = time.time() + timeout
@@ -153,7 +124,7 @@ def bg_events(proc, timeout=240):
 
 def clean_digests(jobs):
     """Digests of each job list from a chaos-free server."""
-    srv = Server(http=False)
+    srv = Server()
     try:
         digests = []
         for job in jobs:
@@ -180,12 +151,10 @@ def test_kill_worker_exhausts_into_one_final_error():
         for entry in err["attempt_history"]:
             assert "worker process died" in entry, err
 
-        series = srv.scrape()
-        assert series["stacknoc_job_retries_total"] == 2
-        assert series["stacknoc_jobs_failed_total"] == 1
-        assert series["stacknoc_jobs_completed_total"] == 0
         st = srv.status()
-        assert st["jobs_retried"] == 2 and st["jobs_failed"] == 1
+        assert st["jobs_retried"] == 2
+        assert st["jobs_failed"] == 1
+        assert st["completed"] == 0
     finally:
         srv.shutdown()
 
@@ -215,14 +184,14 @@ def test_chaos_campaign_converges_with_digest_parity():
             else:
                 failed += 1
 
-        series = srv.scrape()
-        assert series["stacknoc_jobs_submitted_total"] == len(jobs)
-        assert series["stacknoc_jobs_completed_total"] == completed
-        assert series["stacknoc_jobs_failed_total"] == failed
+        st = srv.status()
+        assert st["jobs_submitted"] == len(jobs)
+        assert st["completed"] == completed
+        assert st["jobs_failed"] == failed
         assert completed + failed == len(jobs)
         # The seed is pinned so the campaign provably exercised both
         # paths: at least one kill->retry and at least one survivor.
-        assert series["stacknoc_job_retries_total"] >= 1, series
+        assert st["jobs_retried"] >= 1, st
         assert completed >= 1, "no job survived the chaos campaign"
     finally:
         srv.shutdown()
@@ -241,10 +210,10 @@ def test_slow_worker_hits_deadline_and_retries():
         err = term[0]
         assert err["attempts"] == 2, err
         assert "job-deadline-sec" in err["reason"], err
-        series = srv.scrape()
-        assert series["stacknoc_job_deadline_kills_total"] == 2
-        assert series["stacknoc_job_retries_total"] == 1
-        assert series["stacknoc_jobs_failed_total"] == 1
+        st = srv.status()
+        assert st["deadline_kills"] == 2
+        assert st["jobs_retried"] == 1
+        assert st["jobs_failed"] == 1
     finally:
         srv.shutdown()
 
@@ -262,11 +231,9 @@ def test_corrupt_ckpt_falls_back_to_cold_warm():
         data = events_of(events, "result")[0]["data"]
         assert data["warm_restored"] is False, data
         assert data["stats_digest"] == want
-        series = srv.scrape()
-        assert series["stacknoc_ckpt_restore_fallbacks_total"] >= 1
-        assert series["stacknoc_jobs_failed_total"] == 0
-        with open(srv.log_path, encoding="utf-8") as f:
-            assert any('"ckpt_restore_fallback"' in line for line in f)
+        st = srv.status()
+        assert st["ckpt_restore_fallbacks"] >= 1
+        assert st["jobs_failed"] == 0
     finally:
         srv.shutdown()
 
@@ -279,15 +246,15 @@ def test_store_survives_kill9_and_clean_restart():
     job1 = [*SMALL, "--seed", "1"]
     job2 = [*SMALL, "--seed", "2"]
     try:
-        srv = Server(extra=["--store-dir", store], http=False)
+        srv = Server(extra=["--store-dir", store])
         data1 = events_of(srv.client("run", *job1), "result")[0]["data"]
         srv.kill9()  # no seal, no graceful anything
         shutil.rmtree(srv.dir, ignore_errors=True)
 
         srv = Server(extra=["--store-dir", store])
-        series = srv.scrape()
-        assert series["stacknoc_store_recovered_records"] == 1, series
-        assert series["stacknoc_store_skipped_records"] == 0
+        st = srv.status()
+        assert st["store_recovered"] == 1, st
+        assert st["store_skipped"] == 0
         events = srv.client("run", *job1)
         accepted = events_of(events, "accepted")
         assert accepted and accepted[0]["cache"] == "hit", events
@@ -301,9 +268,9 @@ def test_store_survives_kill9_and_clean_restart():
         segs = [f for f in os.listdir(store) if f.endswith(".seg")]
         assert segs, f"no sealed segment after drain: {os.listdir(store)}"
         srv = Server(extra=["--store-dir", store])
-        series = srv.scrape()
-        assert series["stacknoc_store_recovered_records"] == 2, series
-        assert series["stacknoc_store_segments"] >= 1
+        st = srv.status()
+        assert st["store_recovered"] == 2, st
+        assert st["store_segments"] >= 1
         for job in (job1, job2):
             events = srv.client("run", *job)
             assert events_of(events, "accepted")[0]["cache"] == "hit"
@@ -319,7 +286,7 @@ def test_store_truncated_tail_is_skipped_not_fatal():
     job1 = [*SMALL, "--seed", "1"]
     job2 = [*SMALL, "--seed", "2"]
     try:
-        srv = Server(extra=["--store-dir", store], http=False)
+        srv = Server(extra=["--store-dir", store])
         srv.client("run", *job1)
         srv.client("run", *job2)
         srv.kill9()
@@ -330,9 +297,9 @@ def test_store_truncated_tail_is_skipped_not_fatal():
             f.truncate(os.path.getsize(wal) - 5)
 
         srv = Server(extra=["--store-dir", store])
-        series = srv.scrape()
-        assert series["stacknoc_store_recovered_records"] == 1, series
-        assert series["stacknoc_store_skipped_records"] == 1, series
+        st = srv.status()
+        assert st["store_recovered"] == 1, st
+        assert st["store_skipped"] == 1, st
         hit = srv.client("run", *job1)
         assert events_of(hit, "accepted")[0]["cache"] == "hit"
         miss = srv.client("run", *job2)  # torn record re-simulates
@@ -355,9 +322,9 @@ def test_store_disk_full_degrades_to_memory_only():
         srv = Server(extra=["--store-dir", store])
         events = srv.client("run", *SMALL)
         assert len(events_of(events, "result")) == 1, events
-        series = srv.scrape()
-        assert series["stacknoc_store_append_failures_total"] >= 1
-        assert series["stacknoc_jobs_failed_total"] == 0
+        st = srv.status()
+        assert st["store_append_failures"] >= 1
+        assert st["jobs_failed"] == 0
         # The result is still cached in memory.
         again = srv.client("run", *SMALL)
         assert events_of(again, "accepted")[0]["cache"] == "hit"
@@ -389,9 +356,9 @@ def test_max_queue_sheds_with_retry_after():
 
         ok = srv.client("run", *SMALL, "--seed", "3")
         assert len(events_of(ok, "result")) == 1
-        series = srv.scrape()
-        assert series["stacknoc_jobs_shed_total"] == 1
-        assert series["stacknoc_jobs_submitted_total"] == 3
+        st = srv.status()
+        assert st["jobs_shed"] == 1
+        assert st["jobs_submitted"] == 3
     finally:
         srv.shutdown()
 
@@ -402,7 +369,7 @@ def test_sigterm_drains_gracefully():
     and the server exits 0 without being told twice."""
     store = tempfile.mkdtemp(prefix="stacknoc_drain_")
     try:
-        srv = Server(extra=["--store-dir", store], http=False)
+        srv = Server(extra=["--store-dir", store])
         running = srv.client_bg("run", *LONG, "--seed", "1")
         srv.wait_status(lambda st: st["busy"] == 1)
         srv.proc.send_signal(signal.SIGTERM)

@@ -176,9 +176,10 @@ TEST(RegionRouting, RestrictedRequestsDescendOnlyAtTsbs)
             int hops = 0;
             while (here != cache) {
                 const noc::Dir d = routing.route(here, *pkt);
-                if (d == noc::Dir::Down)
+                if (d == noc::Dir::Down) {
                     EXPECT_TRUE(tsb_cores.count(here))
                         << "descended at non-TSB node " << here;
+                }
                 here = topo.neighbor(here, d);
                 ASSERT_NE(here, kInvalidNode);
                 ASSERT_LT(++hops, 64);

@@ -155,9 +155,10 @@ TEST(SyntheticStreamTest, SpecAppsNeverTouchSharedRegion)
     SyntheticStream spec(findApp("lbm"), 3, 7, params);
     for (int i = 0; i < 50000; ++i) {
         const auto op = spec.next();
-        if (op.isMem)
+        if (op.isMem) {
             EXPECT_LT(op.addr, 1ULL << 40)
                 << "SPEC op hit the shared region";
+        }
     }
 }
 

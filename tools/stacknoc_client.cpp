@@ -169,12 +169,8 @@ main(int argc, char **argv)
                 argv[0], "--connect-backoff-ms",
                 need("--connect-backoff-ms"), 0, kIntMax);
         } else if (arg == "--watch") {
-            watchSec = std::atof(need("--watch"));
-            if (watchSec <= 0) {
-                std::fprintf(stderr, "%s: --watch wants seconds > 0\n",
-                             argv[0]);
-                return 2;
-            }
+            watchSec = stacknoc::cli::parseNumber(argv[0], "--watch",
+                                                  need("--watch"), 0.0, true);
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;

@@ -177,8 +177,8 @@ main(int argc, char **argv)
         } else if (arg == "--watchdog") {
             watchdog_opt = num(i, "--watchdog", 0ll);
         } else if (arg == "--timeout-sec") {
-            timeout_sec = std::strtod(need(i).c_str(), nullptr);
-            fatal_if(timeout_sec <= 0.0, "--timeout-sec must be > 0");
+            timeout_sec = cli::parseNumber("stacknoc_run", "--timeout-sec",
+                                           need(i).c_str(), 0.0, true);
             ++i;
         } else if (arg == "--save-checkpoint") {
             save_ckpt_path = need(i); ++i;

@@ -32,8 +32,7 @@ usage(const char *argv0)
     std::fprintf(
         stderr,
         "usage: %s --socket PATH [--workers N] [--ckpt-dir D]\n"
-        "          [--ckpt-cap-bytes N] [--http PORT] [--log-json FILE]\n"
-        "          [--log-rotate-bytes N] [--store-dir D] [--max-queue N]\n"
+        "          [--ckpt-cap-bytes N] [--store-dir D] [--max-queue N]\n"
         "          [--job-retries N] [--job-backoff-ms N]\n"
         "          [--job-deadline-sec N] [--chaos SPEC] [--chaos-seed N]\n"
         "\n"
@@ -43,11 +42,6 @@ usage(const char *argv0)
         "                       workers (default: none, no warm reuse)\n"
         "  --ckpt-cap-bytes N   LRU byte cap on the checkpoint dir\n"
         "                       (default 0 = unbounded)\n"
-        "  --http PORT          also serve GET /metrics, GET /status and\n"
-        "                       POST /run over TCP; PORT 0 picks an\n"
-        "                       ephemeral port (printed on stderr)\n"
-        "  --log-json FILE      job-lifecycle NDJSON event log\n"
-        "  --log-rotate-bytes N log rotation cap (default 16 MiB)\n"
         "  --store-dir D        durable result store: results persist\n"
         "                       here and reload on restart\n"
         "  --max-queue N        shed submissions beyond N queued jobs\n"
@@ -85,14 +79,11 @@ main(int argc, char **argv)
 {
     std::string socketPath;
     std::string ckptDir;
-    std::string logJsonPath;
     std::string storeDir;
     std::string chaosSpec;
     unsigned long long ckptCapBytes = 0;
-    unsigned long long logRotateBytes = 0;
     unsigned long long chaosSeed = 1;
     int workers = 1;
-    int httpPort = -1;
     int maxQueue = 0;
     int jobRetries = 2;
     int jobBackoffMs = 200;
@@ -124,12 +115,6 @@ main(int argc, char **argv)
             ckptDir = need("--ckpt-dir");
         } else if (arg == "--ckpt-cap-bytes") {
             ckptCapBytes = num("--ckpt-cap-bytes", 0ull, kU64Max);
-        } else if (arg == "--http") {
-            httpPort = num("--http", 0, 65535);
-        } else if (arg == "--log-json") {
-            logJsonPath = need("--log-json");
-        } else if (arg == "--log-rotate-bytes") {
-            logRotateBytes = num("--log-rotate-bytes", 0ull, kU64Max);
         } else if (arg == "--store-dir") {
             storeDir = need("--store-dir");
         } else if (arg == "--max-queue") {
@@ -185,9 +170,6 @@ main(int argc, char **argv)
     opt.ckptDir = ckptDir;
     opt.ckptCapBytes = ckptCapBytes;
     opt.workerExe = selfExe(argv[0]);
-    opt.httpPort = httpPort;
-    opt.logJsonPath = logJsonPath;
-    opt.logRotateBytes = logRotateBytes;
     opt.storeDir = storeDir;
     opt.maxQueue = maxQueue;
     opt.jobRetries = jobRetries;
@@ -203,9 +185,5 @@ main(int argc, char **argv)
     }
     std::fprintf(stderr, "stacknoc_serve: listening on %s (%d worker%s)\n",
                  socketPath.c_str(), workers, workers == 1 ? "" : "s");
-    // Tests parse this line to discover an ephemeral --http 0 port.
-    if (server.httpPort() >= 0)
-        std::fprintf(stderr, "stacknoc_serve: http on port %d\n",
-                     server.httpPort());
     return server.run();
 }
