@@ -44,6 +44,7 @@ SequentialEngine::ensureSchedule()
             order_.push_back(item);
     for (const ShardItem &item : plan.serial)
         order_.push_back(item);
+    runs_ = kindRuns(order_);
 
     // Everything starts awake; the first tick establishes quiescence.
     // Pushes also wake at once, so a receiver later in the walk ticks in
@@ -61,82 +62,39 @@ void
 SequentialEngine::run(Cycle cycles)
 {
     ensureSchedule();
-    if (profiler_ == nullptr) {
-        runPlain(cycles);
-        return;
-    }
-    if (!kindsSet_) {
-        profiler_->setKinds(kKindNames);
+    telemetry::CycleProfiler *prof = profiler_;
+    if (prof != nullptr && !kindsSet_) {
+        prof->setKinds(kKindNames);
         kindsSet_ = true;
     }
-    runProfiled(cycles);
-}
-
-void
-SequentialEngine::runPlain(Cycle cycles)
-{
-    const std::size_t n = order_.size();
-    for (Cycle i = 0; i < cycles; ++i) {
-        const Cycle now = sim_.now();
-        if (elide_) {
-            const std::uint8_t bit = Ticking::wakeBit(now);
-            std::uint64_t ticked = 0;
-            for (std::size_t s = 0; s < n; ++s) {
-                if (!wakes_.due(s, bit))
-                    continue;
-                const ShardItem &item = order_[s];
-                tickByKind(item, now);
-                ++ticked;
-                wakes_.active[s] = quiescentByKind(item, now) ? 0 : 1;
-            }
-            ticked_ += ticked;
-        } else {
-            for (std::size_t s = 0; s < n; ++s)
-                tickByKind(order_[s], now);
-            ticked_ += n;
-        }
-        slots_ += n;
-        sim_.completeCycle();
-    }
-}
-
-void
-SequentialEngine::runProfiled(Cycle cycles)
-{
-    telemetry::CycleProfiler &prof = *profiler_;
-    const std::size_t n = order_.size();
-
+    WakeSet *ws = elide_ ? &wakes_ : nullptr;
     for (Cycle i = 0; i < cycles; ++i) {
         const Cycle now = sim_.now();
         // Chained timestamps: each clock read ends one measurement and
         // starts the next, so the phase durations tile the loop and
-        // their sum tracks wall time.
-        const double cycle_start = prof.nowSeconds();
+        // their sum tracks wall time. One read per kind run charges
+        // the run to its kind.
+        const double cycle_start = prof ? prof->nowSeconds() : 0.0;
         double t_prev = cycle_start;
-        const std::uint8_t bit = Ticking::wakeBit(now);
-        std::uint64_t ticked = 0;
-        for (std::size_t s = 0; s < n; ++s) {
-            if (elide_ && !wakes_.due(s, bit))
-                continue;
-            const ShardItem &item = order_[s];
-            tickByKind(item, now);
-            ++ticked;
-            if (elide_)
-                wakes_.active[s] = quiescentByKind(item, now) ? 0 : 1;
-            const double t = prof.nowSeconds();
-            prof.addKindSeconds(static_cast<std::uint8_t>(item.kind),
-                                t - t_prev);
-            t_prev = t;
+        for (const KindRun &run : runs_) {
+            ticked_ += tickRun(order_, run, ws, now, nullptr);
+            if (prof) {
+                const double t = prof->nowSeconds();
+                prof->addKindSeconds(static_cast<std::uint8_t>(run.kind),
+                                     t - t_prev);
+                t_prev = t;
+            }
         }
-        ticked_ += ticked;
-        slots_ += n;
-        prof.addPhase(telemetry::EnginePhase::Compute, cycle_start,
-                      t_prev);
-
+        slots_ += order_.size();
+        if (prof)
+            prof->addPhase(telemetry::EnginePhase::Compute, cycle_start,
+                           t_prev);
         sim_.completeCycle();
-        const double t_end = prof.nowSeconds();
-        prof.addPhase(telemetry::EnginePhase::CycleEnd, t_prev, t_end);
-        prof.addCycles(1);
+        if (prof) {
+            prof->addPhase(telemetry::EnginePhase::CycleEnd, t_prev,
+                           prof->nowSeconds());
+            prof->addCycles(1);
+        }
     }
 }
 

@@ -31,11 +31,11 @@ namespace stacknoc::engine {
  * the quiescence contract, so results match the full walk exactly. With elision off
  * every component ticks every cycle, in the same schedule order.
  *
- * With a profiler installed the engine runs an instrumented copy of
- * the same loop that additionally attributes compute time to component
- * kinds with chained timestamps, so phase durations tile the measured
- * wall time. Tick order, and therefore every simulation result, is
- * identical either way.
+ * The loop walks the schedule one kind run at a time. With a profiler
+ * installed it also reads the clock once at the end of each run,
+ * charging the run to its kind with chained timestamps, so phase
+ * durations tile the measured wall time. Only the clock reads differ:
+ * tick order, and therefore every simulation result, is the same.
  */
 class SequentialEngine : public ExecutionEngine
 {
@@ -56,11 +56,10 @@ class SequentialEngine : public ExecutionEngine
     void ensureSchedule();
     void unbindFlags();
 
-    void runPlain(Cycle cycles);
-    void runProfiled(Cycle cycles);
-
     /** The kind-batched schedule, parallel items then serial items. */
     std::vector<ShardItem> order_;
+    /** order_'s kind runs. */
+    std::vector<KindRun> runs_;
     /** Wake state, 1:1 with order_ (bound only with elision on). */
     WakeSet wakes_;
     std::uint64_t scheduleVersion_ = 0;

@@ -75,8 +75,30 @@ buildShardPlan(const Simulator &sim, int nshards)
 
     // Schedule order is preserved within each list by construction
     // (single ascending pass over the sorted schedule), which is what
-    // makes per-shard replay reproduce the canonical tick order.
+    // makes per-shard replay reproduce the canonical tick order. The
+    // engines' kind runs rely on each list also being kind-major.
+    const auto checkKindMajor = [](const std::vector<ShardItem> &items) {
+        for (std::size_t i = 1; i < items.size(); ++i)
+            panic_if(items[i].kind < items[i - 1].kind,
+                     "shard plan list is not kind-major at item %zu", i);
+    };
+    for (const auto &shard : plan.shards)
+        checkKindMajor(shard);
+    checkKindMajor(plan.serial);
     return plan;
+}
+
+std::vector<KindRun>
+kindRuns(const std::vector<ShardItem> &items)
+{
+    std::vector<KindRun> runs;
+    for (std::size_t i = 0; i < items.size(); ++i) {
+        if (runs.empty() || runs.back().kind != items[i].kind)
+            runs.push_back(KindRun{items[i].kind,
+                                   static_cast<std::uint32_t>(i), 0});
+        runs.back().end = static_cast<std::uint32_t>(i + 1);
+    }
+    return runs;
 }
 
 } // namespace stacknoc::engine

@@ -34,6 +34,20 @@ struct ShardItem
 };
 
 /**
+ * A kind run: the items [begin, end) of one plan list, all of one
+ * TickKind. The unit both engines dispatch (engine/tick_dispatch.hh).
+ */
+struct KindRun
+{
+    TickKind kind = TickKind::Other;
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+};
+
+/** Split @p items into maximal runs of equal kind, in list order. */
+std::vector<KindRun> kindRuns(const std::vector<ShardItem> &items);
+
+/**
  * The partition the sharded engine executes: parallel shards (each
  * ticked by one worker, components in ascending ordinal order) plus the
  * serial list (components with kSerialAffinity, ticked on the main
@@ -44,12 +58,11 @@ struct ShardItem
  * layers' routers of one mesh column, so cross-layer TSB pairs never
  * straddle a shard boundary).
  *
- * Each list is grouped by TickKind (the schedule sort is kind-major),
- * so an engine walking a list front to back executes contiguous
- * per-kind batches. The kind order mirrors the historical registration
- * order of CmpSystem (routers, NIs, sideband, banks, memory
- * controllers, L1s, cores), preserving every direct-call ordering
- * contract between kinds.
+ * Each list is kind-major (buildShardPlan panics otherwise), so it
+ * splits into at most kNumTickKinds kind runs. The kind order mirrors
+ * the historical registration order of CmpSystem (routers, NIs,
+ * sideband, banks, memory controllers, L1s, cores), preserving every
+ * direct-call ordering contract between kinds.
  */
 struct ShardPlan
 {

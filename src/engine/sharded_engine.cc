@@ -33,7 +33,8 @@ ShardedParallelEngine::ShardedParallelEngine(Simulator &sim, int threads,
       plan_(buildShardPlan(sim, threads)),
       requested_threads_(threads),
       registry_version_(sim.registryVersion()),
-      serial_(plan_.serial.size())
+      serial_(plan_.serial.size()),
+      serialRuns_(kindRuns(plan_.serial))
 {
     panic_if(threads < 2,
              "ShardedParallelEngine needs >= 2 threads (use "
@@ -44,7 +45,7 @@ ShardedParallelEngine::ShardedParallelEngine(Simulator &sim, int threads,
     shard_state_.reserve(nshards);
     for (std::size_t s = 0; s < nshards; ++s) {
         shard_state_.push_back(
-            std::make_unique<ShardState>(plan_.shards[s].size()));
+            std::make_unique<ShardState>(plan_.shards[s]));
         trace_logs_.push_back(&shard_state_.back()->trace_log);
         if (elide_)
             shard_state_.back()->wakes.bind(plan_.shards[s], true);
@@ -121,31 +122,13 @@ ShardedParallelEngine::workerLoop(std::size_t shard)
 
 void
 ShardedParallelEngine::tickList(const std::vector<ShardItem> &items,
+                                const std::vector<KindRun> &runs,
                                 WakeSet &ws, Cycle now,
                                 telemetry::TraceLog *log)
 {
-    if (!elide_) {
-        for (const ShardItem &item : items) {
-            if (log != nullptr)
-                log->beginComponent(item.ordinal);
-            tickByKind(item, now);
-        }
-        ws.ticked += items.size();
-        return;
-    }
-    const std::uint8_t bit = Ticking::wakeBit(now);
-    std::uint64_t ticked = 0;
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        if (!ws.due(i, bit))
-            continue;
-        const ShardItem &item = items[i];
-        if (log != nullptr)
-            log->beginComponent(item.ordinal);
-        tickByKind(item, now);
-        ++ticked;
-        ws.active[i] = quiescentByKind(item, now) ? 0 : 1;
-    }
-    ws.ticked += ticked;
+    WakeSet *due = elide_ ? &ws : nullptr;
+    for (const KindRun &run : runs)
+        ws.ticked += tickRun(items, run, due, now, log);
 }
 
 void
@@ -157,84 +140,64 @@ ShardedParallelEngine::runShard(std::size_t shard, Cycle now)
     stats::setConcurrentUpdates(true);
     if (tracing)
         telemetry::setTraceLog(&st.trace_log);
-    tickList(plan_.shards[shard], st.wakes, now,
+    tickList(plan_.shards[shard], st.runs, st.wakes, now,
              tracing ? &st.trace_log : nullptr);
     stats::setConcurrentUpdates(false);
     telemetry::setTraceLog(nullptr);
 }
 
 void
-ShardedParallelEngine::runCycle()
+ShardedParallelEngine::runCycle(telemetry::CycleProfiler *prof)
 {
-    const Cycle now = sim_.now();
-    cycle_ = now;
-    done_.store(0, std::memory_order_relaxed);
-    epoch_.fetch_add(1, std::memory_order_release);
-
-    if (!plan_.shards.empty())
-        runShard(0, now);
-
-    const std::size_t nworkers = workers_.size();
-    spinWait(spin_iters_, [&] {
-        return done_.load(std::memory_order_acquire) == nworkers;
-    });
-
-    if (telemetry::tracer() != nullptr)
-        telemetry::TraceLog::applyInOrder(trace_logs_.data(),
-                                          trace_logs_.size());
-
-    tickList(plan_.serial, serial_, now, nullptr);
-
-    slots_ += plan_.parallelCount() + plan_.serial.size();
-    sim_.completeCycle();
-}
-
-void
-ShardedParallelEngine::runCycleProfiled()
-{
-    // Identical to runCycle() plus chained wall-clock stamps around
-    // each phase, so phase durations tile the cycle. The extra clock
-    // reads are observer-only: the tick/replay/serial sequence — and
-    // therefore every simulation result — is byte-for-byte the same.
-    // The Commit phase times the trace replay, so untraced it reads
-    // about 0.
+    // With a profiler, a chained wall-clock stamp at each phase
+    // boundary, so phase durations tile the cycle. The stamps are
+    // observer-only: the tick/replay/serial sequence, and therefore
+    // every simulation result, is the same either way. The Commit
+    // phase times the trace replay, so untraced it reads about 0.
     using telemetry::EnginePhase;
-    telemetry::CycleProfiler &prof = *profiler_;
+    double t = prof ? prof->nowSeconds() : 0.0;
+    const auto stamp = [&](EnginePhase ph) {
+        const double t0 = t;
+        t = prof->nowSeconds();
+        prof->addPhase(ph, t0, t);
+        return t0;
+    };
 
     const Cycle now = sim_.now();
     cycle_ = now;
     done_.store(0, std::memory_order_relaxed);
-
-    const double t0 = prof.nowSeconds();
     epoch_.fetch_add(1, std::memory_order_release);
 
     if (!plan_.shards.empty())
         runShard(0, now);
-    const double t1 = prof.nowSeconds();
-    prof.addPhase(EnginePhase::Compute, t0, t1);
-    prof.addShardPhase(0, EnginePhase::Compute, t0, t1);
+    if (prof) {
+        const double t0 = stamp(EnginePhase::Compute);
+        prof->addShardPhase(0, EnginePhase::Compute, t0, t);
+    }
 
     const std::size_t nworkers = workers_.size();
     spinWait(spin_iters_, [&] {
         return done_.load(std::memory_order_acquire) == nworkers;
     });
-    const double t2 = prof.nowSeconds();
-    prof.addPhase(EnginePhase::Barrier, t1, t2);
+    if (prof)
+        stamp(EnginePhase::Barrier);
 
     if (telemetry::tracer() != nullptr)
         telemetry::TraceLog::applyInOrder(trace_logs_.data(),
                                           trace_logs_.size());
-    const double t3 = prof.nowSeconds();
-    prof.addPhase(EnginePhase::Commit, t2, t3);
+    if (prof)
+        stamp(EnginePhase::Commit);
 
-    tickList(plan_.serial, serial_, now, nullptr);
-    const double t4 = prof.nowSeconds();
-    prof.addPhase(EnginePhase::Serial, t3, t4);
+    tickList(plan_.serial, serialRuns_, serial_, now, nullptr);
+    if (prof)
+        stamp(EnginePhase::Serial);
 
     slots_ += plan_.parallelCount() + plan_.serial.size();
     sim_.completeCycle();
-    prof.addPhase(EnginePhase::CycleEnd, t4, prof.nowSeconds());
-    prof.addCycles(1);
+    if (prof) {
+        stamp(EnginePhase::CycleEnd);
+        prof->addCycles(1);
+    }
 }
 
 void
@@ -242,13 +205,8 @@ ShardedParallelEngine::run(Cycle cycles)
 {
     panic_if(sim_.registryVersion() != registry_version_,
              "components were registered after the shard plan was built");
-    if (profiler_ != nullptr) {
-        for (Cycle i = 0; i < cycles; ++i)
-            runCycleProfiled();
-        return;
-    }
     for (Cycle i = 0; i < cycles; ++i)
-        runCycle();
+        runCycle(profiler_);
 }
 
 } // namespace stacknoc::engine

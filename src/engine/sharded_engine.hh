@@ -83,25 +83,31 @@ class ShardedParallelEngine : public ExecutionEngine
      *  to keep workers from false-sharing. */
     struct alignas(64) ShardState
     {
-        explicit ShardState(std::size_t n) : wakes(n) {}
+        explicit ShardState(const std::vector<ShardItem> &items)
+            : wakes(items.size()), runs(kindRuns(items))
+        {}
         telemetry::TraceLog trace_log;
         WakeSet wakes;
+        std::vector<KindRun> runs;
     };
 
-    void runCycle();
-    void runCycleProfiled();
+    /** One cycle; @p prof (may be null) stamps each phase boundary. */
+    void runCycle(telemetry::CycleProfiler *prof);
     void runShard(std::size_t shard, Cycle now);
     void workerLoop(std::size_t shard);
 
-    /** Tick the due members of @p items (all of them without elision). */
-    void tickList(const std::vector<ShardItem> &items, WakeSet &ws,
-                  Cycle now, telemetry::TraceLog *log);
+    /** Tick the due members of @p items, run by run (all of them
+     *  without elision). */
+    void tickList(const std::vector<ShardItem> &items,
+                  const std::vector<KindRun> &runs, WakeSet &ws, Cycle now,
+                  telemetry::TraceLog *log);
 
     ShardPlan plan_;
     int requested_threads_;
     std::uint64_t registry_version_;
     /** Wake state of the serial list (main thread only). */
     WakeSet serial_;
+    std::vector<KindRun> serialRuns_;
     /** Barrier spin budget before yielding (0 when oversubscribed). */
     int spin_iters_ = 0;
 

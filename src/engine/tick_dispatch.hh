@@ -1,12 +1,11 @@
 /**
  * @file
- * Devirtualized per-kind tick dispatch shared by both engines.
+ * The kind-run walk shared by both engines.
  *
- * The shard plan groups components kind-major, so engines walk
- * contiguous batches of one concrete type. Dispatching through a
- * static_cast to the final class lets the compiler bypass the vtable
- * (and inline the quiescence predicates), which is where the batched
- * loop wins over the historical `Ticking::tick` walk.
+ * Plan lists are kind-major, so each splits into a few kind runs
+ * (engine/shard_plan.hh). tickRun switches on a run's kind once and
+ * ticks the whole run through a static_cast to the final class, so the
+ * compiler bypasses the vtable and inlines the quiescence predicates.
  */
 
 #ifndef STACKNOC_ENGINE_TICK_DISPATCH_HH
@@ -16,75 +15,68 @@
 #include "coherence/l2_bank.hh"
 #include "cpu/core.hh"
 #include "engine/shard_plan.hh"
+#include "engine/wake_set.hh"
 #include "mem/memory_controller.hh"
 #include "noc/network_interface.hh"
 #include "noc/router.hh"
 #include "sttnoc/rca_fabric.hh"
+#include "telemetry/trace.hh"
 
 namespace stacknoc::engine {
 
-/** Tick @p item through its concrete type (only trustworthy because
- *  every kind-claiming class is final). */
-inline void
-tickByKind(const ShardItem &item, Cycle now)
+/** tickRun for one concrete type @p T (only trustworthy because every
+ *  kind-claiming class is final). */
+template <class T>
+std::uint64_t
+tickRunAs(const std::vector<ShardItem> &items, const KindRun &run,
+          WakeSet *ws, Cycle now, telemetry::TraceLog *log)
 {
-    switch (item.kind) {
-      case TickKind::Router:
-        static_cast<noc::Router *>(item.component)->tick(now);
-        break;
-      case TickKind::NetworkInterface:
-        static_cast<noc::NetworkInterface *>(item.component)->tick(now);
-        break;
-      case TickKind::RcaFabric:
-        static_cast<sttnoc::RcaFabric *>(item.component)->tick(now);
-        break;
-      case TickKind::L2Bank:
-        static_cast<coherence::L2Bank *>(item.component)->tick(now);
-        break;
-      case TickKind::MemoryController:
-        static_cast<mem::MemoryController *>(item.component)->tick(now);
-        break;
-      case TickKind::L1Cache:
-        static_cast<coherence::L1Cache *>(item.component)->tick(now);
-        break;
-      case TickKind::Core:
-        static_cast<cpu::Core *>(item.component)->tick(now);
-        break;
-      case TickKind::Other:
-        item.component->tick(now);
-        break;
+    const std::uint8_t bit = Ticking::wakeBit(now);
+    std::uint64_t ticked = 0;
+    for (std::size_t i = run.begin; i < run.end; ++i) {
+        if (ws != nullptr && !ws->due(i, bit))
+            continue;
+        auto *c = static_cast<T *>(items[i].component);
+        if (log != nullptr)
+            log->beginComponent(items[i].ordinal);
+        c->tick(now);
+        ++ticked;
+        if (ws != nullptr)
+            ws->active[i] = c->quiescent(now) ? 0 : 1;
     }
+    return ticked;
 }
 
-/** quiescent() through the concrete type; same contract as tickByKind. */
-inline bool
-quiescentByKind(const ShardItem &item, Cycle now)
+/**
+ * Tick the due members of @p run, a kind run of @p items, in list
+ * order: all of them when @p ws is null (elision off), otherwise those
+ * WakeSet::due, deactivating each that reports quiescent(). While
+ * tracing, @p log is told which ordinal each tick records under.
+ * @return the number of components ticked.
+ */
+inline std::uint64_t
+tickRun(const std::vector<ShardItem> &items, const KindRun &run,
+        WakeSet *ws, Cycle now, telemetry::TraceLog *log)
 {
-    switch (item.kind) {
+    switch (run.kind) {
       case TickKind::Router:
-        return static_cast<const noc::Router *>(item.component)
-            ->quiescent(now);
+        return tickRunAs<noc::Router>(items, run, ws, now, log);
       case TickKind::NetworkInterface:
-        return static_cast<const noc::NetworkInterface *>(item.component)
-            ->quiescent(now);
+        return tickRunAs<noc::NetworkInterface>(items, run, ws, now, log);
       case TickKind::RcaFabric:
-        return static_cast<const sttnoc::RcaFabric *>(item.component)
-            ->quiescent(now);
+        return tickRunAs<sttnoc::RcaFabric>(items, run, ws, now, log);
       case TickKind::L2Bank:
-        return static_cast<const coherence::L2Bank *>(item.component)
-            ->quiescent(now);
+        return tickRunAs<coherence::L2Bank>(items, run, ws, now, log);
       case TickKind::MemoryController:
-        return static_cast<const mem::MemoryController *>(item.component)
-            ->quiescent(now);
+        return tickRunAs<mem::MemoryController>(items, run, ws, now, log);
       case TickKind::L1Cache:
-        return static_cast<const coherence::L1Cache *>(item.component)
-            ->quiescent(now);
+        return tickRunAs<coherence::L1Cache>(items, run, ws, now, log);
       case TickKind::Core:
-        return false; // cores are never quiescent (see cpu/core.hh)
+        return tickRunAs<cpu::Core>(items, run, ws, now, log);
       case TickKind::Other:
-        return item.component->quiescent(now);
+        return tickRunAs<Ticking>(items, run, ws, now, log);
     }
-    return false;
+    return 0;
 }
 
 } // namespace stacknoc::engine

@@ -8,7 +8,7 @@
  * {elide, no-elide} x {1,2,4,8} threads x seeds x {clean, faults}
  * cross product. Plus unit tests of the shard partition itself (every
  * component assigned exactly once, equal affinity keys co-sharded,
- * cross-layer TSB pairs never split).
+ * cross-layer TSB pairs never split, every list kind-major).
  */
 
 #include <gtest/gtest.h>
@@ -307,5 +307,51 @@ TEST(ShardPlan, CrossLayerTsbPairsAreCoSharded)
         EXPECT_EQ(shard_of[&net.ni(n)], shard_of[&net.ni(n + npl)])
             << "NIs of column " << n << " split across shards";
         EXPECT_EQ(shard_of[&net.router(n)], shard_of[&net.ni(n)]);
+    }
+}
+
+TEST(ShardPlan, ListsAreKindMajor)
+{
+    // Every list is non-decreasing in TickKind, so it splits into at
+    // most kNumTickKinds runs that tile it. The RCA scenario adds the
+    // fabric, which has an affinity key of its own.
+    for (const bool rca : {false, true}) {
+        noc::resetPacketIds();
+        system::SystemConfig cfg = baseConfig(1, 1);
+        if (rca)
+            cfg.scenario = system::scenarios::sttram4TsbRca();
+        system::CmpSystem sys(cfg);
+        for (const int nshards : {1, 2, 3, 4}) {
+            const engine::ShardPlan plan =
+                engine::buildShardPlan(sys.simulator(), nshards);
+            std::vector<const std::vector<engine::ShardItem> *> lists;
+            for (const auto &shard : plan.shards)
+                lists.push_back(&shard);
+            lists.push_back(&plan.serial);
+
+            int fabrics = 0;
+            for (const auto *items : lists) {
+                const auto runs = engine::kindRuns(*items);
+                EXPECT_LE(runs.size(), std::size_t{kNumTickKinds});
+                std::uint32_t next = 0;
+                for (std::size_t r = 0; r < runs.size(); ++r) {
+                    EXPECT_EQ(runs[r].begin, next);
+                    EXPECT_LT(runs[r].begin, runs[r].end);
+                    if (r > 0) {
+                        EXPECT_LT(runs[r - 1].kind, runs[r].kind)
+                            << nshards << " shards, rca " << rca;
+                    }
+                    for (std::uint32_t i = runs[r].begin; i < runs[r].end;
+                         ++i)
+                        EXPECT_EQ((*items)[i].kind, runs[r].kind);
+                    next = runs[r].end;
+                    if (runs[r].kind == TickKind::RcaFabric)
+                        fabrics += static_cast<int>(runs[r].end -
+                                                    runs[r].begin);
+                }
+                EXPECT_EQ(next, items->size());
+            }
+            EXPECT_EQ(fabrics, rca ? 1 : 0) << nshards << " shards";
+        }
     }
 }

@@ -3,18 +3,21 @@
  * The cycle-accounting profiler: accumulation arithmetic, bounded span
  * retention, the disabled-profiler zero-retention fast path, the
  * phase-sum-tracks-wall-time contract on a real system (sequential and
- * sharded engines), and the observer-only guarantee (bit-identical
- * stats with the profiler on or off).
+ * sharded engines), per-kind attribution, and the observer-only
+ * guarantee (the same stats digest and tick schedule with the profiler
+ * on or off, at every thread count and elision setting).
  */
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <chrono>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "noc/packet.hh"
+#include "snapshot/state_io.hh"
 #include "system/cmp_system.hh"
 #include "telemetry/profile.hh"
 
@@ -176,12 +179,20 @@ TEST(ProfiledSystem, SequentialAttributesKinds)
     sys.run(500);
     const auto *prof = sys.profiler();
     ASSERT_NE(prof, nullptr);
-    ASSERT_FALSE(prof->kindNames().empty());
+    const std::vector<std::string> names = {
+        "router", "ni", "rca", "l2bank", "mc", "l1", "core", "other"};
+    ASSERT_EQ(prof->kindNames(), names);
     double kinds = 0.0;
-    for (std::size_t k = 0; k < prof->kindNames().size(); ++k)
+    for (std::size_t k = 0; k < names.size(); ++k) {
         kinds += prof->kindSeconds(k);
+        // Every kind the WB system has is charged; it has no RCA
+        // fabric and nothing outside the known kinds.
+        if (names[k] == "rca" || names[k] == "other")
+            EXPECT_EQ(prof->kindSeconds(k), 0.0) << names[k];
+        else
+            EXPECT_GT(prof->kindSeconds(k), 0.0) << names[k];
+    }
     // Kind attribution covers the compute phase (same stamps).
-    EXPECT_GT(kinds, 0.0);
     EXPECT_NEAR(kinds, prof->phaseSeconds(EnginePhase::Compute),
                 1e-9 + 0.01 * kinds);
 }
@@ -198,45 +209,47 @@ TEST(ProfiledSystem, ShardedFillsShardSlots)
         EXPECT_GT(prof->shardSeconds(s, EnginePhase::Compute), 0.0);
 }
 
-/** Bit-exact digest of every stat in @p g (doubles as raw bits). */
-std::string
-digest(const system::CmpSystem &sys)
+/** A run's full stats digest and its tick schedule (the number of
+ *  components the engine ticked). */
+struct RunSummary
 {
-    std::ostringstream os;
-    for (const stats::Group *g :
-         {&sys.cacheStats(), &sys.coreStats(), &sys.memStats(),
-          &sys.network().stats()}) {
-        for (const auto &[n, c] : g->allCounters())
-            os << n << "=" << c.value() << "\n";
-        for (const auto &[n, a] : g->allAverages()) {
-            os << n << " "
-               << std::bit_cast<std::uint64_t>(a.sum()) << " "
-               << a.count() << "\n";
-        }
-    }
-    return os.str();
+    std::uint64_t digest;
+    std::uint64_t ticked;
+    bool operator==(const RunSummary &) const = default;
+};
+
+RunSummary
+summarise(int threads, bool elide, bool profile)
+{
+    noc::resetPacketIds();
+    system::SystemConfig cfg = smallConfig(threads, profile);
+    cfg.elide = elide;
+    system::CmpSystem sys(cfg);
+    sys.warmup(200);
+    sys.run(800);
+    return {snapshot::statsDigest(sys), sys.engineTickedComponents()};
 }
 
-TEST(ProfiledSystem, ProfilerIsObserverOnly)
+class ProfilerObserver
+    : public ::testing::TestWithParam<std::tuple<int, bool>>
+{};
+
+TEST_P(ProfilerObserver, SameDigestAndTickSchedule)
 {
-    std::string with_profile;
-    {
-        noc::resetPacketIds();
-        system::CmpSystem sys(smallConfig(2, true));
-        sys.warmup(200);
-        sys.run(800);
-        with_profile = digest(sys);
-    }
-    std::string without_profile;
-    {
-        noc::resetPacketIds();
-        system::CmpSystem sys(smallConfig(2, false));
-        sys.warmup(200);
-        sys.run(800);
-        without_profile = digest(sys);
-    }
-    EXPECT_EQ(with_profile, without_profile);
+    const auto [threads, elide] = GetParam();
+    const RunSummary with = summarise(threads, elide, true);
+    const RunSummary without = summarise(threads, elide, false);
+    EXPECT_EQ(with.digest, without.digest);
+    EXPECT_EQ(with.ticked, without.ticked);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    EngineSettings, ProfilerObserver,
+    ::testing::Combine(::testing::Values(1, 2, 4), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<int, bool>> &info) {
+        return "t" + std::to_string(std::get<0>(info.param)) +
+               (std::get<1>(info.param) ? "_elide" : "_no_elide");
+    });
 
 TEST(ProfiledSystem, TableMentionsEveryPhase)
 {
