@@ -1,9 +1,12 @@
 #include "bench_util.hh"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 
+#include "common/cli.hh"
 #include "server/client.hh"
 #include "server/protocol.hh"
 #include "system/run_spec.hh"
@@ -13,13 +16,18 @@ namespace stacknoc::bench {
 
 namespace {
 
-std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
+/** Integer knob @p name from the environment, @p fallback when unset
+ *  or empty. Anything but a whole integer in [@p lo, @p hi] exits 2
+ *  with one line naming the variable. */
+template <class T>
+T
+envInt(const char *name, T fallback, T lo,
+       T hi = std::numeric_limits<T>::max())
 {
     const char *v = std::getenv(name);
     if (!v || !*v)
         return fallback;
-    return std::strtoull(v, nullptr, 10);
+    return cli::parseInt(program_invocation_short_name, name, v, lo, hi);
 }
 
 } // namespace
@@ -28,11 +36,11 @@ BenchEnv
 env()
 {
     BenchEnv e;
-    e.warmup = envU64("STTNOC_WARMUP", 3000);
-    e.measure = envU64("STTNOC_CYCLES", 20000);
-    e.case3Mixes = static_cast<int>(envU64("STTNOC_MIXES", 4));
-    e.seed = envU64("STTNOC_SEED", 1);
-    e.appCap = static_cast<int>(envU64("STTNOC_APPS", 0));
+    e.warmup = envInt<Cycle>("STTNOC_WARMUP", 3000, 0);
+    e.measure = envInt<Cycle>("STTNOC_CYCLES", 20000, 1);
+    e.case3Mixes = envInt("STTNOC_MIXES", 4, 1);
+    e.seed = envInt<std::uint64_t>("STTNOC_SEED", 1, 0);
+    e.appCap = envInt("STTNOC_APPS", 0, 0);
     if (const char *p = std::getenv("STTNOC_JSON"); p && *p)
         e.jsonPath = p;
     if (const char *p = std::getenv("STTNOC_SERVER"); p && *p)

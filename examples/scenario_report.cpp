@@ -11,9 +11,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <string>
 
+#include "common/cli.hh"
 #include "system/cmp_system.hh"
 #include "workload/app_profiles.hh"
 
@@ -36,9 +37,10 @@ main(int argc, char **argv)
     setVerbose(false);
     const std::string scenario_name = argc > 1 ? argv[1] : "MRAM-4TSB-WB";
     const std::string app = argc > 2 ? argv[2] : "tpcc";
-    const Cycle cycles = argc > 3
-        ? static_cast<Cycle>(std::strtoull(argv[3], nullptr, 10))
-        : 20000;
+    const Cycle cycles =
+        argc > 3 ? cli::parseInt("scenario_report", "cycles", argv[3],
+                                 Cycle{1}, std::numeric_limits<Cycle>::max())
+                 : 20000;
 
     system::SystemConfig cfg;
     fatal_if(!system::scenarios::byName(scenario_name, cfg.scenario),

@@ -8,12 +8,14 @@
 
 #include <array>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <string>
 #include <utility>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 namespace stacknoc {
 namespace {
@@ -233,7 +235,6 @@ TEST(Cli, MalformedIntegerFlagExitsTwoWithOneLine)
         {"stacknoc_fuzz --threads 0", "--threads"},
         {"stacknoc_sweep --seeds 0", "--seeds"},
         {"stacknoc_sweep --jobs two", "--jobs"},
-        {"stacknoc_sweep --speedup-threads 1", "--speedup-threads"},
         {"stacknoc_sweep --connect-retries -2", "--connect-retries"},
         {"stacknoc_sweep --connect-backoff-ms 1e3", "--connect-backoff-ms"},
         {"stacknoc_client --connect-retries x status", "--connect-retries"},
@@ -250,13 +251,6 @@ TEST(Cli, MalformedIntegerFlagExitsTwoWithOneLine)
         {"stacknoc_client --watch nan status", "--watch"},
         {"stacknoc_client --watch inf status", "--watch"},
         {"stacknoc_client --watch -1 status", "--watch"},
-        {"../bench/bench_ticks --tolerance 5x", "--tolerance"},
-        {"../bench/bench_ticks --tolerance abc", "--tolerance"},
-        {"../bench/bench_ticks --tolerance nan", "--tolerance"},
-        {"../bench/bench_ticks --tolerance inf", "--tolerance"},
-        {"../bench/bench_ticks --tolerance -1", "--tolerance"},
-        {"../bench/bench_ticks --threads 0", "--threads"},
-        {"../bench/bench_ticks --cycles 2k", "--cycles"},
     };
     for (const auto &[cmd, flag] : cases) {
         const std::string line = cmd;
@@ -269,6 +263,75 @@ TEST(Cli, MalformedIntegerFlagExitsTwoWithOneLine)
         EXPECT_NE(out.find(flag), std::string::npos) << cmd << ": " << out;
         EXPECT_EQ(out.find('\n'), out.size() - 1)
             << cmd << ": want one line, got: " << out;
+    }
+    // The sweep no longer measures simulator speed: its speedup and
+    // telemetry switches are unknown options now.
+    for (const char *flag : {"--no-thermal", "--speedup-threads"}) {
+        std::string out;
+        const int rc = runTool("stacknoc_sweep",
+                               std::string(flag) + " 4", &out);
+        ASSERT_TRUE(WIFEXITED(rc)) << flag;
+        EXPECT_EQ(WEXITSTATUS(rc), 2) << flag << ": " << out;
+        EXPECT_NE(out.find("unknown option '" + std::string(flag) + "'"),
+                  std::string::npos)
+            << out;
+    }
+}
+
+/** A reproducer's numeric values parse whole and in range. Before,
+ *  `mesh=abc` aborted on an uncaught exception, `cycles=-5` wrapped to
+ *  2^64-5 and ran until killed, and `mesh=4x` was read as 4. */
+TEST(Cli, FuzzReplayRejectsMalformedValueWithOneLine)
+{
+    char dir[] = "/tmp/stacknoc_replay_XXXXXX";
+    ASSERT_NE(::mkdtemp(dir), nullptr);
+    const std::pair<const char *, const char *> cases[] = {
+        {"mesh=abc", "mesh"},     {"cycles=-5", "cycles"},
+        {"mesh=4x", "mesh"},      {"warmup=1e3", "warmup"},
+        {"seed=", "seed"},        {"elide=yes", "elide"},
+        {"hops=0", "hops"},       {"write_buffer=2", "write_buffer"},
+    };
+    int n = 0;
+    for (const auto &[line, key] : cases) {
+        const std::string path =
+            std::string(dir) + "/case" + std::to_string(n++) + ".txt";
+        std::ofstream(path) << line << "\n";
+        std::string out;
+        const int rc = runTool("stacknoc_fuzz", "--replay " + path, &out);
+        ASSERT_TRUE(WIFEXITED(rc)) << line;
+        EXPECT_EQ(WEXITSTATUS(rc), 2) << line << ": " << out;
+        EXPECT_NE(out.find(std::string(key) + " needs an integer"),
+                  std::string::npos)
+            << line << ": " << out;
+        EXPECT_EQ(out.find('\n'), out.size() - 1)
+            << line << ": want one line, got: " << out;
+        std::remove(path.c_str());
+    }
+    ::rmdir(dir);
+}
+
+/** The figure harnesses read their STTNOC_* knobs whole and in range.
+ *  Before, `STTNOC_CYCLES=abc` ran 0 cycles and printed a table of
+ *  -nan with exit 0. */
+TEST(Cli, FigureHarnessRejectsMalformedEnvWithOneLine)
+{
+    const std::pair<const char *, const char *> cases[] = {
+        {"STTNOC_CYCLES", "abc"}, {"STTNOC_CYCLES", "0"},
+        {"STTNOC_WARMUP", "0x"},  {"STTNOC_MIXES", "-1"},
+        {"STTNOC_SEED", "12x"},   {"STTNOC_APPS", "two"},
+    };
+    for (const auto &[name, value] : cases) {
+        ::setenv(name, value, 1);
+        std::string out;
+        const int rc = runTool("../bench/fig12_regions", "", &out);
+        ::unsetenv(name);
+        ASSERT_TRUE(WIFEXITED(rc)) << name << "=" << value;
+        EXPECT_EQ(WEXITSTATUS(rc), 2) << name << "=" << value << ": " << out;
+        EXPECT_NE(out.find(std::string("fig12_regions: ") + name),
+                  std::string::npos)
+            << out;
+        EXPECT_EQ(out.find('\n'), out.size() - 1)
+            << name << "=" << value << ": want one line, got: " << out;
     }
 }
 

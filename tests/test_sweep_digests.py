@@ -40,7 +40,7 @@ REGIONS = {
 }
 CYCLES = ["--cycles", "500", "--warmup", "100"]
 SWEEP_ARGS = ["--schemes", ",".join(REGIONS), "--mixes", "tpcc", *CYCLES,
-              "--no-speedup", "--no-profile", "--no-thermal", "--jobs", "2"]
+              "--jobs", "2"]
 
 
 def direct_digest(scenario):
@@ -106,7 +106,7 @@ def test_unhonourable_regions_exit_2():
         out = os.path.join(workdir, "sweep.json")
         proc = subprocess.run(
             [SWEEP, "--schemes", "MRAM-4TSB,MRAM-64TSB", "--regions", "8",
-             "--mixes", "tpcc", *CYCLES, "--no-speedup", "--out", out],
+             "--mixes", "tpcc", *CYCLES, "--out", out],
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2, \
             f"want exit 2, got {proc.returncode}:\n{proc.stderr}"

@@ -240,6 +240,10 @@ readCase(const std::string &path)
 {
     std::ifstream in(path);
     fatal_if(!in, "cannot read reproducer '%s'", path.c_str());
+    const std::string tool = "stacknoc_fuzz: " + path;
+    constexpr int kIntMax = std::numeric_limits<int>::max();
+    // Fuzz cases run a few thousand cycles; a billion is hours.
+    constexpr Cycle kMaxCycles = 1'000'000'000;
     FuzzCase fc;
     std::string line;
     while (std::getline(in, line)) {
@@ -250,24 +254,32 @@ readCase(const std::string &path)
                  line.c_str());
         const std::string key = line.substr(0, eq);
         const std::string val = line.substr(eq + 1);
-        if (key == "mesh") fc.mesh = std::stoi(val);
-        else if (key == "regions") fc.regions = std::stoi(val);
+        // A numeric value must be whole and in range, or the replay
+        // exits 2 with one line naming the key.
+        const auto num = [&](auto lo, auto hi) {
+            return cli::parseInt(tool.c_str(), key.c_str(), val.c_str(), lo,
+                                 hi);
+        };
+        const auto flag = [&] { return num(0, 1) != 0; };
+        if (key == "mesh") fc.mesh = num(1, 16);
+        else if (key == "regions") fc.regions = num(0, kIntMax);
         else if (key == "scheme") fc.scheme = val;
         else if (key == "delay_mode") fc.delayMode = val;
-        else if (key == "hops") fc.hops = std::stoi(val);
+        else if (key == "hops") fc.hops = num(1, kIntMax);
         else if (key == "tech") fc.tech = val;
         else if (key == "placement") fc.placement = val;
-        else if (key == "write_buffer") fc.writeBuffer = val != "0";
+        else if (key == "write_buffer") fc.writeBuffer = flag();
         else if (key == "write_buffer_entries")
-            fc.writeBufferEntries = std::stoi(val);
-        else if (key == "read_priority") fc.readPriority = val != "0";
-        else if (key == "request_cap") fc.requestCap = std::stoi(val);
-        else if (key == "write_cap") fc.writeCap = std::stoi(val);
+            fc.writeBufferEntries = num(1, kIntMax);
+        else if (key == "read_priority") fc.readPriority = flag();
+        else if (key == "request_cap") fc.requestCap = num(1, kIntMax);
+        else if (key == "write_cap") fc.writeCap = num(1, kIntMax);
         else if (key == "apps") fc.apps = val;
-        else if (key == "seed") fc.seed = std::stoull(val);
-        else if (key == "warmup") fc.warmup = std::stoull(val);
-        else if (key == "cycles") fc.cycles = std::stoull(val);
-        else if (key == "elide") fc.elide = val != "0";
+        else if (key == "seed")
+            fc.seed = num(std::uint64_t{0}, ~std::uint64_t{0});
+        else if (key == "warmup") fc.warmup = num(Cycle{0}, kMaxCycles);
+        else if (key == "cycles") fc.cycles = num(Cycle{1}, kMaxCycles);
+        else if (key == "elide") fc.elide = flag();
         else if (key == "fault_spec") fc.faultSpec = val;
         else fatal("unknown reproducer key '%s'", key.c_str());
     }

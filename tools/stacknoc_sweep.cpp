@@ -1,24 +1,24 @@
 /**
  * @file
- * stacknoc_sweep — campaign runner for throughput baselines.
+ * stacknoc_sweep — design-point grid runner.
  *
  * Fans a scenario grid (scheme x regions x app mix x seed) across
  * parallel stacknoc_run child processes, harvests each child's JSON
- * stats, and writes one merged benchmark artifact (fig6-style IPC and
- * latency per design point plus wall-clock sims/sec). It also measures
- * the sharded engine's speedup on one fig6 scenario (1 thread vs
- * --speedup-threads) and records it alongside the grid, seeding the
- * perf trajectory tracked in BENCH_throughput.json.
+ * stats, and writes one merged artifact: fig6-style IPC, throughput,
+ * latency and energy per design point. Simulator speed is not its job;
+ * perfbench/run.py measures that.
  *
  * Every run record carries a config_digest — the campaign-server cache
- * key for that design point — which makes campaigns resumable:
+ * key for that design point — and the child's stats_digest, so each
+ * record names the design it actually ran. The config_digest also makes
+ * campaigns resumable:
  * --resume reloads a partial artifact and re-runs only the grid points
  * it is missing. With --server SOCKET the sweep submits jobs to a
  * running stacknoc_serve instead of spawning child processes, so
  * repeated sweeps hit the server's result cache and sweep points
  * sharing a warm configuration reuse warm checkpoints.
  *
- *   stacknoc_sweep --out BENCH_throughput.json
+ *   stacknoc_sweep --out sweep.json
  *   stacknoc_sweep --schemes MRAM-4TSB,MRAM-4TSB-WB --seeds 3 --jobs 8
  *   stacknoc_sweep --server /tmp/stacknoc.sock --resume
  */
@@ -59,7 +59,6 @@ struct SweepJob
 {
     system::RunSpec spec;
     int regions = 0;  //!< resolved region-TSB count (0 = unrestricted)
-    std::string tag;  //!< "grid" or "speedup"
 };
 
 struct SweepResult
@@ -75,12 +74,7 @@ struct SweepResult
     double avgNetLatency = 0.0;
     double p95NetLatency = 0.0;
     double wallSeconds = 0.0;
-    double ticksPerSec = 0.0;
-    double activeFraction = 0.0; //!< child's perf.active_fraction
     double totalEnergyUJ = 0.0; //!< child's metrics.energy_uj.total
-    double peakTempC = 0.0;     //!< child's thermal.peak_c (0 if off)
-    /** Engine-phase wall-time breakdown (child's profile.phases). */
-    std::vector<std::pair<std::string, double>> phases;
 };
 
 struct SweepOptions
@@ -95,12 +89,7 @@ struct SweepOptions
     system::RunSpec base;
     int jobs = 0; //!< 0 = hardware concurrency
     std::string runner;
-    std::string out = "BENCH_throughput.json";
-    std::string speedupScenario = "MRAM-4TSB-WB";
-    int speedupThreads = 4;
-    bool speedup = true;
-    bool profile = true;
-    bool thermal = true;
+    std::string out = "sweep.json";
     bool resume = false;
     std::string server; //!< stacknoc_serve socket; empty = children
     int connectRetries = 0;    //!< --server connect re-attempts
@@ -121,21 +110,13 @@ usage()
   --jobs N           parallel child processes (default: hw threads)
   --threads N        engine threads inside each child (default 1)
   --runner PATH      stacknoc_run binary (default: next to this binary)
-  --out FILE         merged artifact (default BENCH_throughput.json)
-  --speedup-scenario NAME  fig6 scenario for the 1-vs-N thread speedup
-                     measurement (default MRAM-4TSB-WB)
-  --speedup-threads N  parallel-engine thread count to measure (default 4)
-  --no-speedup       skip the speedup measurement
-  --no-profile       don't fold the engine-phase profile into run records
-  --no-thermal       don't run children with --thermal (run records then
-                     carry zero total_energy_uj / peak_temp_c)
+  --out FILE         merged artifact (default sweep.json)
   --resume           reload an existing --out artifact and skip grid
                      points whose config_digest is already present with
                      ok:true (interrupted campaigns pick up where they
                      stopped)
   --server SOCKET    submit jobs to a running stacknoc_serve on this
                      Unix socket instead of spawning child processes
-                     (run records then carry no thermal/profile data)
   --connect-retries N    with --server: re-attempt a refused/missing
                      socket up to N times (default 0)
   --connect-backoff-ms N base connect retry backoff, doubled per retry
@@ -146,10 +127,8 @@ usage()
 
 const std::vector<std::string> kKnownOptions = {
     "--schemes", "--regions", "--mixes", "--seeds", "--cycles",
-    "--warmup", "--jobs", "--threads", "--runner", "--out",
-    "--speedup-scenario", "--speedup-threads", "--no-speedup",
-    "--no-profile", "--no-thermal", "--resume", "--server",
-    "--connect-retries", "--connect-backoff-ms",
+    "--warmup", "--jobs", "--threads", "--runner", "--out", "--resume",
+    "--server", "--connect-retries", "--connect-backoff-ms",
 };
 
 /**
@@ -214,10 +193,6 @@ runJob(const SweepOptions &opt, const SweepJob &job, int idx)
     std::vector<std::string> args = job.spec.toArgs();
     args.insert(args.begin(), opt.runner);
     args.insert(args.end(), {"--digest", "--json-stats", json_path});
-    if (opt.profile)
-        args.push_back("--profile");
-    if (opt.thermal)
-        args.push_back("--thermal"); // implies --power
 
     const int rc = runChild(args);
     res.exitCode = rc;
@@ -255,19 +230,7 @@ runJob(const SweepOptions &opt, const SweepJob &job, int idx)
     res.avgNetLatency = numberAt(metrics, "avg_network_latency");
     res.p95NetLatency = numberAt(metrics, "p95_network_latency");
     res.wallSeconds = numberAt(perf, "wall_seconds");
-    res.ticksPerSec = numberAt(perf, "ticks_per_sec");
-    res.activeFraction = numberAt(perf, "active_fraction");
     res.totalEnergyUJ = numberAt(metrics->find("energy_uj"), "total");
-    res.peakTempC = numberAt(doc->find("thermal"), "peak_c");
-    if (const auto *profile = doc->find("profile");
-        profile && profile->isObject()) {
-        if (const auto *phases = profile->find("phases");
-            phases && phases->isObject()) {
-            for (const auto &[name, v] : phases->members())
-                if (v.isNumber())
-                    res.phases.emplace_back(name, v.asDouble());
-        }
-    }
     if (const auto *run = doc->find("run"); run && run->isObject())
         if (const auto *d = run->find("stats_digest");
             d && d->isString())
@@ -355,8 +318,6 @@ runJobsViaServer(const SweepOptions &opt,
             res.avgNetLatency = numberAt(data, "avg_network_latency");
             res.p95NetLatency = numberAt(data, "p95_network_latency");
             res.wallSeconds = numberAt(data, "wall_seconds");
-            res.ticksPerSec = numberAt(data, "ticks_per_sec");
-            res.activeFraction = numberAt(data, "active_fraction");
             res.totalEnergyUJ = numberAt(data, "total_energy_uj");
             if (const auto *d = data->find("stats_digest");
                 d && d->isString())
@@ -376,7 +337,7 @@ runJobsViaServer(const SweepOptions &opt,
 }
 
 /**
- * Load ok:true grid records from a previous artifact, keyed by
+ * Load ok:true records from a previous artifact, keyed by
  * config_digest, so --resume can skip and re-emit them verbatim.
  */
 std::map<std::string, std::string>
@@ -429,19 +390,7 @@ writeRun(telemetry::JsonWriter &w, const SweepResult &r)
     w.kv("avg_network_latency", r.avgNetLatency);
     w.kv("p95_network_latency", r.p95NetLatency);
     w.kv("wall_seconds", r.wallSeconds);
-    w.kv("ticks_per_sec", r.ticksPerSec);
-    w.kv("active_fraction", r.activeFraction);
     w.kv("total_energy_uj", r.totalEnergyUJ);
-    w.kv("peak_temp_c", r.peakTempC);
-    w.key("profile_phases");
-    if (r.phases.empty()) {
-        w.null();
-    } else {
-        w.beginObject();
-        for (const auto &[name, seconds] : r.phases)
-            w.kv(name, seconds);
-        w.endObject();
-    }
     w.endObject();
 }
 
@@ -496,16 +445,6 @@ main(int argc, char **argv)
             opt.runner = need(i); ++i;
         } else if (arg == "--out") {
             opt.out = need(i); ++i;
-        } else if (arg == "--speedup-scenario") {
-            opt.speedupScenario = need(i); ++i;
-        } else if (arg == "--speedup-threads") {
-            opt.speedupThreads = num(i, "--speedup-threads", 2);
-        } else if (arg == "--no-speedup") {
-            opt.speedup = false;
-        } else if (arg == "--no-profile") {
-            opt.profile = false;
-        } else if (arg == "--no-thermal") {
-            opt.thermal = false;
         } else if (arg == "--resume") {
             opt.resume = true;
         } else if (arg == "--server") {
@@ -536,38 +475,25 @@ main(int argc, char **argv)
             opt.jobs = 4;
     }
 
-    // Build the job list: the full grid, then the speedup pair. Every
-    // job resolves up front, so a scenario that cannot honour an
-    // override fails the whole campaign before anything runs.
+    // Build the grid. Every job resolves up front, so a scenario that
+    // cannot honour an override fails the whole campaign before
+    // anything runs.
     std::vector<SweepJob> jobs;
-    const auto addJob = [&](const std::string &scheme,
-                            std::optional<int> regions,
-                            const std::string &mix, std::uint64_t seed,
-                            int threads, const char *tag) {
-        SweepJob j;
-        j.spec = opt.base;
-        j.spec.scenario = scheme;
-        j.spec.regions = regions;
-        j.spec.apps = splitList(mix);
-        j.spec.seed = seed;
-        j.spec.threads = threads;
-        j.tag = tag;
-        system::SystemConfig cfg;
-        specArg(j.spec.resolve(cfg));
-        j.regions = cfg.scenario.tsbRegions;
-        jobs.push_back(std::move(j));
-    };
     for (const auto &scheme : opt.schemes)
         for (const auto &regions : opt.regions)
             for (const auto &mix : opt.mixes)
-                for (int s = 1; s <= opt.seeds; ++s)
-                    addJob(scheme, regions, mix,
-                           static_cast<std::uint64_t>(s),
-                           opt.base.threads, "grid");
-    if (opt.speedup)
-        for (const int t : {1, opt.speedupThreads})
-            addJob(opt.speedupScenario, opt.regions.front(),
-                   opt.mixes.front(), 1, t, "speedup");
+                for (int s = 1; s <= opt.seeds; ++s) {
+                    SweepJob j;
+                    j.spec = opt.base;
+                    j.spec.scenario = scheme;
+                    j.spec.regions = regions;
+                    j.spec.apps = splitList(mix);
+                    j.spec.seed = static_cast<std::uint64_t>(s);
+                    system::SystemConfig cfg;
+                    specArg(j.spec.resolve(cfg));
+                    j.regions = cfg.scenario.tsbRegions;
+                    jobs.push_back(std::move(j));
+                }
 
     // --resume: skip grid points an earlier (interrupted) campaign
     // already completed; their records are re-emitted verbatim.
@@ -577,16 +503,12 @@ main(int argc, char **argv)
         if (!prior.empty()) {
             std::vector<SweepJob> pending;
             for (const auto &j : jobs) {
-                if (j.tag == "grid") {
-                    const std::string digest = server::hexKey(
-                        server::cacheKeyDigest(j.spec));
-                    if (const auto it = prior.find(digest);
-                        it != prior.end()) {
-                        resumedRecords.push_back(it->second);
-                        continue;
-                    }
-                }
-                pending.push_back(j);
+                const auto it = prior.find(
+                    server::hexKey(server::cacheKeyDigest(j.spec)));
+                if (it != prior.end())
+                    resumedRecords.push_back(it->second);
+                else
+                    pending.push_back(j);
             }
             std::fprintf(stderr,
                          "sweep: resume skips %zu completed grid "
@@ -650,39 +572,25 @@ main(int argc, char **argv)
             firstExit = r.exitCode > 0 ? r.exitCode : 1;
     }
 
-    // Merge into the benchmark artifact.
+    // Merge into the campaign artifact.
     std::ofstream out(opt.out);
     fatal_if(!out, "cannot open '%s'", opt.out.c_str());
     telemetry::JsonWriter w(out);
     w.beginObject();
-    w.kv("bench", "throughput");
     w.kv("tool", "stacknoc_sweep");
-    // Version 5: run records gain exit_code, config_digest (the
-    // campaign-server cache key, also the --resume identity) and
-    // stats_digest. Version 4 added active_fraction; version 3 added
-    // total_energy_uj and peak_temp_c; version 2 added profile_phases.
-    // Readers should ignore unknown fields but may key behavior off
-    // this stamp; older readers keep working, the new fields only add.
-    w.kv("schema_version", 5);
+    // Version 6: the sweep stops measuring simulator speed. The
+    // top-level "bench" tag, the "speedup" block and the record fields
+    // ticks_per_sec, active_fraction, peak_temp_c and profile_phases
+    // are gone (perfbench/run.py measures speed). Version 5 added
+    // exit_code, config_digest (the campaign-server cache key, also the
+    // --resume identity) and stats_digest.
+    w.kv("schema_version", 6);
     w.key("grid");
     w.beginObject();
     w.kv("cycles", opt.base.cycles);
     w.kv("warmup", opt.base.warmup);
     w.kv("seeds", opt.seeds);
     w.kv("threads", opt.base.threads);
-    // Interprets the speedup number: a 4-thread engine on a 1-core host
-    // cannot beat sequential no matter how good the sharding is.
-    const int hw = static_cast<int>(std::thread::hardware_concurrency());
-    w.kv("hardware_threads", hw);
-    if (opt.speedup && hw < opt.speedupThreads) {
-        w.kv("limitation",
-             detail::format(
-                 "recorded on a %d-hardware-thread host: the %d-thread "
-                 "speedup measurement is oversubscribed and expected "
-                 "to be <= 1x; re-record on a multi-core host for a "
-                 "meaningful parallel-engine number",
-                 hw, opt.speedupThreads));
-    }
     w.endObject();
     w.key("runs");
     w.beginArray();
@@ -692,39 +600,8 @@ main(int argc, char **argv)
             telemetry::writeJsonValue(w, *v);
     }
     for (const auto &r : results)
-        if (r.job.tag == "grid")
-            writeRun(w, r);
+        writeRun(w, r);
     w.endArray();
-
-    w.key("speedup");
-    const SweepResult *base = nullptr, *par = nullptr;
-    for (const auto &r : results) {
-        if (r.job.tag != "speedup")
-            continue;
-        (r.job.spec.threads == 1 ? base : par) = &r;
-    }
-    if (base && par && base->ok && par->ok) {
-        w.beginObject();
-        w.kv("scenario", base->job.spec.scenario);
-        w.kv("mix", joinList(base->job.spec.apps));
-        w.kv("cycles", opt.base.cycles);
-        w.kv("base_threads", 1);
-        w.kv("base_ticks_per_sec", base->ticksPerSec);
-        w.kv("par_threads", par->job.spec.threads);
-        w.kv("par_ticks_per_sec", par->ticksPerSec);
-        const double speedup = base->ticksPerSec > 0.0
-                                   ? par->ticksPerSec / base->ticksPerSec
-                                   : 0.0;
-        w.kv("speedup", speedup);
-        w.endObject();
-        std::fprintf(stderr,
-                     "sweep: speedup %dT vs 1T on %s = %.2fx "
-                     "(%.0f vs %.0f ticks/s)\n",
-                     par->job.spec.threads, base->job.spec.scenario.c_str(),
-                     speedup, par->ticksPerSec, base->ticksPerSec);
-    } else {
-        w.null();
-    }
     w.endObject();
     out << "\n";
 
